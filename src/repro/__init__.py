@@ -25,11 +25,12 @@ Quickstart::
     sched = schedule(tensor, model, algorithm="gomcds", capacity=cap)
     print(evaluate_schedule(sched, tensor, model).total)
 
-The individual algorithms (``scds``/``lomcds``/``gomcds``/``omcds``)
-remain importable but are deprecated entry points; ``schedule`` is the
-uniform front door, ``schedule_many`` the batched one
+``schedule`` is the one front door to every algorithm (pick one with
+``algorithm=``), ``schedule_many`` the batched one
 (``docs/performance.md``), and the ``instrument=`` keyword hooks in the
-observability layer (``docs/observability.md``).
+observability layer (``docs/observability.md``).  Schedulers solve
+volume-free in exact integers (ties go to the lowest processor id);
+volumes only weight the cost ``evaluate_schedule`` reports.
 """
 
 from .core import (
@@ -38,13 +39,9 @@ from .core import (
     Schedule,
     SchedulerSpec,
     evaluate_schedule,
-    get_scheduler,
-    gomcds,
     grouped_schedule,
-    lomcds,
     reschedule_around_faults,
     reschedule_from_window,
-    scds,
     scheduler_spec,
 )
 from .api import schedule
@@ -116,12 +113,8 @@ __all__ = [
     "CostModel",
     "Schedule",
     "CostBreakdown",
-    "scds",
-    "lomcds",
-    "gomcds",
     "grouped_schedule",
     "evaluate_schedule",
-    "get_scheduler",
     # unified scheduling API (docs/algorithms.md)
     "schedule",
     "scheduler_spec",

@@ -17,10 +17,9 @@ Algorithm-specific options are validated against the spec's
 ``supported_kwargs`` before dispatch, so a typo or an unsupported
 combination (``certify=True`` on SCDS) fails with the supported list
 instead of a bare ``TypeError`` from deep inside a solver.  The old
-entry points — calling ``scds``/``lomcds``/``gomcds`` directly, or via
-``get_scheduler(name)`` — still work but emit ``DeprecationWarning``;
-see ``docs/algorithms.md`` for the migration table.  For many solves
-at once, use :func:`repro.schedule_many`.
+direct-call entry points are gone; ``docs/algorithms.md`` maps each to
+its replacement.  For many solves at once, use
+:func:`repro.schedule_many`.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ def schedule(
     tensor:
         Reference tensor ``R[d, w, p]`` built from the application trace.
     model:
-        Communication cost model (metric + volumes).
+        Communication cost model (metric + volumes).  Solvers are
+        volume-free; volumes only weight the reported cost.
     algorithm:
         Scheduler name (``"scds"``, ``"lomcds"``, ``"gomcds"``,
         ``"omcds"``; case-insensitive) or an explicit
@@ -98,4 +98,6 @@ def schedule(
             f"{spec.name} does not support option(s) "
             f"{', '.join(unsupported)}; supported: {supported}"
         )
+    # solvers never read volumes, so a wrong-length vector fails here
+    model.volume_column(tensor.n_data)
     return spec(tensor, model, capacity, instrument=instrument, **kwargs)

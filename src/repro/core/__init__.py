@@ -1,39 +1,28 @@
 """The paper's contribution: SCDS, LOMCDS, GOMCDS and window grouping.
 
-This package exposes the three data-scheduling algorithms of the paper
-(plus the grouping post-pass of its §4) behind a uniform signature::
+The scheduling algorithms live behind a frozen registry of
+:class:`SchedulerSpec` callables with one uniform signature::
 
-    schedule = scheduler(
+    schedule = scheduler_spec(name)(
         reference_tensor, cost_model, capacity=None, instrument=None
     )
 
 and an analytic evaluator, :func:`evaluate_schedule`, implementing the
-paper's communication-cost objective.  ``get_scheduler`` returns a
-frozen :class:`SchedulerSpec` — a uniformly-shaped callable carrying
-algorithm metadata; the ``repro.schedule`` facade in :mod:`repro.api`
-is the preferred front door.
-
-Calling ``scds``/``lomcds``/``gomcds`` through this package (or
-``repro``) emits a :class:`DeprecationWarning` pointing at the facade;
-the implementations in the submodules stay warning-free for internal
-use and for ``SCHEDULERS``/``SchedulerSpec.func``.
+paper's communication-cost objective.  The ``repro.schedule`` facade in
+:mod:`repro.api` is the front door; the raw functions stay reachable
+through ``SCHEDULERS`` and their submodules for internal use.
 """
-
-import functools as _functools
-import warnings as _warnings
 
 from .cost import CostModel
 from .budget import gomcds_budgeted, movement_frontier
-from .costgraph import build_cost_graph, gomcds_via_graph, solve_cost_graph
 from .evaluate import CostBreakdown, evaluate_schedule, per_datum_costs
-from .gomcds import gomcds, shortest_center_path
+from .gomcds import shortest_center_path
 from .grouping import (
     greedy_grouping,
     grouped_schedule,
     optimal_grouping,
     partition_cost,
 )
-from .lomcds import lomcds
 from .online import omcds
 from .optimal import optimal_static_placement, static_lower_bound
 from .refine import RefineResult, refine_schedule
@@ -52,39 +41,11 @@ from .registry import (
     SCHEDULER_SPECS,
     SCHEDULERS,
     SchedulerSpec,
-    get_scheduler,
     scheduler_spec,
 )
 from .kernels import KERNELS, resolve_kernel
-from .scds import scds
 from .schedule import Schedule
 
-
-def _deprecated_entry_point(func, algorithm):
-    """Wrap a scheduler so direct calls steer users to the facade.
-
-    ``SCHEDULERS`` and the specs keep the raw function; only the names
-    re-exported here (the public direct-call surface) warn.
-    """
-
-    @_functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        _warnings.warn(
-            f"calling {algorithm}() directly is deprecated; use "
-            f"repro.schedule(..., algorithm={algorithm!r}) or "
-            "repro.schedule_many()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func(*args, **kwargs)
-
-    wrapper.__wrapped_scheduler__ = func
-    return wrapper
-
-
-scds = _deprecated_entry_point(scds, "scds")
-lomcds = _deprecated_entry_point(lomcds, "lomcds")
-gomcds = _deprecated_entry_point(gomcds, "gomcds")
 
 __all__ = [
     "CostModel",
@@ -92,15 +53,9 @@ __all__ = [
     "CostBreakdown",
     "evaluate_schedule",
     "per_datum_costs",
-    "scds",
-    "lomcds",
-    "gomcds",
     "gomcds_budgeted",
     "movement_frontier",
     "shortest_center_path",
-    "build_cost_graph",
-    "solve_cost_graph",
-    "gomcds_via_graph",
     "greedy_grouping",
     "optimal_grouping",
     "grouped_schedule",
@@ -117,7 +72,6 @@ __all__ = [
     "replicated_scds",
     "evaluate_replicated",
     "greedy_k_median",
-    "get_scheduler",
     "scheduler_spec",
     "SchedulerSpec",
     "SCHEDULERS",

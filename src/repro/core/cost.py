@@ -7,8 +7,11 @@ the transferred volume.  Moving datum ``d`` from center ``j`` to center
 
 Given the reference tensor ``R[d, w, p]`` the cost of storing datum ``d``
 at *every* candidate center over *every* window is a single matrix
-product, ``C_d = volume(d) * (R_d @ Dist)``, which is what all three
-schedulers consume.
+product, ``R_d @ Dist``.  Volume scales a datum's reference and movement
+terms alike, so it never changes which centers are optimal: the
+schedulers solve on the exact int64 tensor :meth:`CostModel.reference_costs`
+and volumes enter only where cost is reported
+(:func:`repro.core.evaluate.per_datum_costs`).
 """
 
 from __future__ import annotations
@@ -43,8 +46,13 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.volumes is not None:
             vols = np.asarray(self.volumes, dtype=np.float64)
-            if vols.ndim != 1 or len(vols) == 0 or vols.min() <= 0:
-                raise ValueError("volumes must be a 1-D positive vector")
+            if (
+                vols.ndim != 1
+                or len(vols) == 0
+                or not np.isfinite(vols).all()
+                or vols.min() <= 0
+            ):
+                raise ValueError("volumes must be a 1-D finite positive vector")
             object.__setattr__(self, "volumes", vols)
 
     @property
@@ -62,7 +70,8 @@ class CostModel:
             return 1.0
         return float(self.volumes[d])
 
-    def _volume_column(self, n_data: int) -> np.ndarray:
+    def volume_column(self, n_data: int) -> np.ndarray:
+        """``(n_data,)`` float64 volumes; raises when the length disagrees."""
         if self.volumes is None:
             return np.ones(n_data)
         if len(self.volumes) != n_data:
@@ -97,13 +106,25 @@ class CostModel:
         vol = 1.0 if (self.volumes is None or d is None) else self.volume(d)
         return costs * vol
 
-    def all_placement_costs(self, tensor: ReferenceTensor) -> np.ndarray:
-        """``(n_data, n_windows, n_procs)`` cost tensor ``C`` for all data."""
+    def reference_costs(self, tensor: ReferenceTensor) -> np.ndarray:
+        """Volume-free ``(n_data, n_windows, n_procs)`` int64 cost tensor.
+
+        Entry ``(d, w, c)`` is the hop count of window ``w``'s references
+        to datum ``d`` if it sits at ``c`` — the exact domain every
+        scheduler solves in.
+        """
         if tensor.n_procs != self.n_procs:
             raise ValueError("reference tensor does not match the processor array")
-        costs = tensor.counts @ self.distances
-        vols = self._volume_column(tensor.n_data)
-        return costs * vols[:, None, None]
+        return tensor.counts @ self.distances
+
+    def all_placement_costs(self, tensor: ReferenceTensor) -> np.ndarray:
+        """Volume-weighted ``(n_data, n_windows, n_procs)`` cost tensor.
+
+        For passes that trade cost *across* data (budgeted GOMCDS,
+        refinement, grouping); the schedulers use :meth:`reference_costs`.
+        """
+        costs = self.reference_costs(tensor)
+        return costs * self.volume_column(tensor.n_data)[:, None, None]
 
     def movement_cost(self, d: int, src: int, dst: int) -> float:
         """Cost of relocating datum ``d`` from ``src`` to ``dst``."""

@@ -86,30 +86,18 @@ def per_datum_costs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-datum ``(reference_cost, movement_cost)`` vectors.
 
-    Vectorized over data and windows: reference cost gathers, for every
-    ``(d, w)``, the column of the cost tensor selected by the schedule;
-    movement cost sums metric distances between consecutive centers.
+    The one place volumes meet costs: each datum's reference hops
+    (``dist(center, p)`` per reference, gathered straight from the
+    distance rows of the chosen centers) and movement hops are summed
+    in exact integers, then multiplied by the datum's volume once.
     """
     _check_compatible(schedule, tensor, model)
-    n_data, n_windows = schedule.n_data, schedule.n_windows
-    if n_data == 0:
-        return np.zeros(0), np.zeros(0)
-    cost_tensor = model.all_placement_costs(tensor)  # (D, W, m)
-    d_idx = np.arange(n_data)[:, None]
-    w_idx = np.arange(n_windows)[None, :]
-    ref = cost_tensor[d_idx, w_idx, schedule.centers].sum(axis=1)
-    if n_windows > 1:
-        dist = model.distances
-        hops = dist[schedule.centers[:, :-1], schedule.centers[:, 1:]].sum(axis=1)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
-        move = hops * vols
-    else:
-        move = np.zeros(n_data)
-    return ref.astype(np.float64), move.astype(np.float64)
+    vols = model.volume_column(schedule.n_data)
+    centers = schedule.centers
+    dist = model.distances
+    ref_hops = (dist[centers] * tensor.counts).sum(axis=(1, 2))
+    move_hops = dist[centers[:, :-1], centers[:, 1:]].sum(axis=1)
+    return ref_hops * vols, move_hops * vols
 
 
 def evaluate_schedule(

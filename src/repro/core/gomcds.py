@@ -10,13 +10,16 @@ path is the globally optimal center sequence, movement included.
 Because the graph is layered and complete between layers, the shortest
 path reduces to a forward dynamic program over windows:
 
-    ``f_w[k] = min_j (f_{w-1}[j] + vol * Dist[j, k]) + C[w, k]``
+    ``f_w[k] = min_j (f_{w-1}[j] + Dist[j, k]) + C[w, k]``
 
 which we evaluate with one ``(m, m)`` broadcast per window — and, when
-memory is unconstrained and volumes are uniform per datum, with a single
-``(D, m, m)`` broadcast per window for *all* data at once.  The explicit
-DAG construction lives in :mod:`repro.core.costgraph` and is used as a
-differential-testing oracle for this DP.
+memory is unconstrained, with a single ``(D, m, m)`` broadcast per
+window for *all* data at once.  ``C`` is the volume-free int64 tensor
+:meth:`~repro.core.cost.CostModel.reference_costs`: a datum's volume
+scales its reference and movement terms alike, so the optimal path never
+depends on it, and solving without it keeps every DP value an exact
+integer (ties break toward the lowest pid).  The test suite keeps the
+literal networkx DAG as a differential-testing oracle for this DP.
 """
 
 from __future__ import annotations
@@ -109,13 +112,12 @@ def shortest_center_path(
 def _all_paths_vectorized(
     costs: np.ndarray,
     dist: np.ndarray,
-    vols: np.ndarray,
     return_potentials: bool = False,
 ):
     """Unconstrained DP for all data at once.
 
-    ``costs`` is ``(D, W, m)``; movement between windows for datum ``d``
-    is ``vols[d] * dist``.  Returns ``(D, W)`` center paths, plus the
+    ``costs`` is ``(D, W, m)``; movement between windows costs ``dist``
+    for every datum.  Returns ``(D, W)`` center paths, plus the
     ``(D, W, m)`` DP potential tables when ``return_potentials``.
     """
     n_data, n_windows, n_procs = costs.shape
@@ -128,9 +130,8 @@ def _all_paths_vectorized(
     f = costs[:, 0, :].astype(np.float64, copy=True)
     if potentials is not None:
         potentials[:, 0, :] = f
-    move = vols[:, None, None] * dist[None, :, :]  # (D, m, m)
     for w in range(1, n_windows):
-        transition = f[:, :, None] + move  # (D, m, m): axis 1 = from, 2 = to
+        transition = f[:, :, None] + dist  # (D, m, m): axis 1 = from, 2 = to
         back[:, w, :] = transition.argmin(axis=1)
         f = transition.min(axis=1) + costs[:, w, :]
         if potentials is not None:
@@ -154,14 +155,15 @@ def _certificate(
     """Schedule-meta payload proving per-datum path optimality.
 
     ``potentials`` are the forward DP value tables — valid shortest-path
-    node potentials over each datum's cost-graph.  The standalone checker
+    node potentials over each datum's volume-free cost-graph
+    (certificate version 2).  The standalone checker
     (:mod:`repro.verify.certificate`) verifies dual feasibility and
     tightness without re-running the solver.
     """
     totals = potentials[:, -1, :].min(axis=1)
     return {
         "kind": "gomcds-potentials",
-        "version": 1,
+        "version": 2,
         "potentials": potentials,
         "totals": totals,
         "masks": masks,
@@ -197,7 +199,8 @@ def gomcds(
     ``kernel`` selects the vectorized DP (``"numpy"``, default — one
     ``(D, m, m)`` broadcast per window) or the scalar reference oracle
     (``"python"`` — the paper's pseudocode, loop by loop); both produce
-    bit-identical schedules and certificates.
+    bit-identical schedules and certificates.  Both solve volume-free
+    (see the module docstring), so volumes never change the centers.
     """
     obs = resolve(instrument)
     kernel = resolve_kernel(kernel)
@@ -214,13 +217,8 @@ def gomcds(
             if kernel == "python":
                 costs = placement_cost_tensor_python(tensor, model)
             else:
-                costs = model.all_placement_costs(tensor)  # (D, W, m)
+                costs = model.reference_costs(tensor)  # (D, W, m) int64
         dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
         obs.gauge("gomcds.dp_cells", n_data * n_windows * model.n_procs)
         solve_path = (
             shortest_center_path_python
@@ -241,11 +239,10 @@ def gomcds(
                     for d in range(n_data):
                         if certify:
                             centers[d], _, potentials[d] = solve_path(
-                                costs[d], vols[d] * dist,
-                                return_potentials=True,
+                                costs[d], dist, return_potentials=True
                             )
                         else:
-                            centers[d], _ = solve_path(costs[d], vols[d] * dist)
+                            centers[d], _ = solve_path(costs[d], dist)
                     meta = (
                         {"certificate": _certificate(potentials)}
                         if certify
@@ -253,11 +250,11 @@ def gomcds(
                     )
                 elif certify:
                     centers, potentials = _all_paths_vectorized(
-                        costs, dist, vols, return_potentials=True
+                        costs, dist, return_potentials=True
                     )
                     meta = {"certificate": _certificate(potentials)}
                 else:
-                    centers = _all_paths_vectorized(costs, dist, vols)
+                    centers = _all_paths_vectorized(costs, dist)
                     meta = {}
             if record:
                 record_decisions(
@@ -289,13 +286,10 @@ def gomcds(
                     masks[d] = allowed
                 if certify:
                     path, _, potentials[d] = solve_path(
-                        costs[d], vols[d] * dist, allowed=allowed,
-                        return_potentials=True,
+                        costs[d], dist, allowed=allowed, return_potentials=True
                     )
                 else:
-                    path, _ = solve_path(
-                        costs[d], vols[d] * dist, allowed=allowed
-                    )
+                    path, _ = solve_path(costs[d], dist, allowed=allowed)
                 tracker.claim_path(path)
                 centers[d] = path
         meta = {"certificate": _certificate(potentials, masks)} if certify else {}

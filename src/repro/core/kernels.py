@@ -12,12 +12,13 @@ Every scheduler in :mod:`repro.core` accepts a ``kernel=`` keyword:
   oracle: property tests assert both kernels produce *bit-identical*
   costs and centers on every instance.
 
-Bit-identity holds because both kernels perform the same elementary
-operations in the same per-element order: reference costs accumulate in
-exact integer arithmetic before the single volume multiply, and each DP
-cell is one multiply plus one add per transition.  Ties break toward
-the lowest index in both kernels (scalar strict-``<`` scans mirror
-``argmin``).
+Both kernels solve in one exact domain: the volume-free int64 cost
+tensor ``counts @ distances`` and plain hop distances for moves (volume
+scales both terms of a datum alike, so it never changes a center).  DP
+values are integer-valued float64 — exact below ``2**53`` — with
+``inf`` marking masked cells, so both kernels compute the same numbers
+and ties break toward the lowest index in both (scalar strict-``<``
+scans mirror ``argmin``).
 """
 
 from __future__ import annotations
@@ -56,20 +57,18 @@ def resolve_kernel(kernel: str | None) -> str:
 
 
 def placement_cost_tensor_python(tensor, model) -> np.ndarray:
-    """Scalar transcription of ``CostModel.all_placement_costs``.
+    """Scalar transcription of ``CostModel.reference_costs``.
 
-    ``C[d, w, p] = vol(d) * sum_q R[d, w, q] * Dist[q, p]`` with the
-    inner sum accumulated in exact integer arithmetic — the same value
-    the int64 matmul produces before its one float multiply.
+    ``C[d, w, p] = sum_q R[d, w, q] * Dist[q, p]`` accumulated in exact
+    integer arithmetic.
     """
     if tensor.n_procs != model.n_procs:
         raise ValueError("reference tensor does not match the processor array")
     counts = tensor.counts
     dist = model.distances
     n_data, n_windows, n_procs = counts.shape
-    out = np.empty((n_data, n_windows, n_procs), dtype=np.float64)
+    out = np.empty((n_data, n_windows, n_procs), dtype=np.int64)
     for d in range(n_data):
-        vol = model.volume(d)
         for w in range(n_windows):
             row = counts[d, w]
             for p in range(n_procs):
@@ -78,19 +77,19 @@ def placement_cost_tensor_python(tensor, model) -> np.ndarray:
                     c = int(row[q])
                     if c:
                         acc += c * int(dist[q, p])
-                out[d, w, p] = float(acc) * vol
+                out[d, w, p] = acc
     return out
 
 
 def merged_totals_python(cost_tensor: np.ndarray) -> np.ndarray:
     """Scalar window merge for SCDS: ``t[d, p] = sum_w C[d, w, p]``."""
     n_data, n_windows, n_procs = cost_tensor.shape
-    out = np.empty((n_data, n_procs), dtype=np.float64)
+    out = np.empty((n_data, n_procs), dtype=np.int64)
     for d in range(n_data):
         for p in range(n_procs):
-            acc = 0.0
+            acc = 0
             for w in range(n_windows):
-                acc += float(cost_tensor[d, w, p])
+                acc += int(cost_tensor[d, w, p])
             out[d, p] = acc
     return out
 
@@ -106,9 +105,9 @@ def local_argmin_python(cost_tensor: np.ndarray) -> np.ndarray:
     centers = np.empty((n_data, n_windows), dtype=np.int64)
     for d in range(n_data):
         for w in range(n_windows):
-            best, best_cost = 0, float(cost_tensor[d, w, 0])
+            best, best_cost = 0, int(cost_tensor[d, w, 0])
             for p in range(1, n_procs):
-                c = float(cost_tensor[d, w, p])
+                c = int(cost_tensor[d, w, p])
                 if c < best_cost:
                     best, best_cost = p, c
             centers[d, w] = best

@@ -61,7 +61,7 @@ def lomcds(
             if kernel == "python":
                 costs = placement_cost_tensor_python(tensor, model)
             else:
-                costs = model.all_placement_costs(tensor)  # (D, W, m)
+                costs = model.reference_costs(tensor)  # (D, W, m) int64
         referenced = tensor.counts.sum(axis=2) > 0  # (D, W)
 
         record = obs.provenance.recording

@@ -73,13 +73,8 @@ def _omcds_body(
     tensor, model, capacity, hysteresis, obs, n_data, n_windows
 ) -> Schedule:
     with obs.span("omcds.cost_tensor"):
-        costs = model.all_placement_costs(tensor)  # (D, W, m)
-    dist = model.distances.astype(np.float64)
-    vols = (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+        costs = model.reference_costs(tensor)  # (D, W, m) int64
+    dist = model.distances
     centers = np.empty((n_data, n_windows), dtype=np.int64)
 
     tracker = None
@@ -108,7 +103,7 @@ def _omcds_body(
         if math.isinf(hysteresis):
             wants_move = np.zeros(n_data, dtype=bool)
         else:
-            move_price = vols * dist[current, best]
+            move_price = dist[current, best]
             wants_move = (regret >= hysteresis * move_price) & (best != current)
 
         if tracker is None:

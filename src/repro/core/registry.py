@@ -7,15 +7,12 @@ or the observability layer.  :class:`SchedulerSpec` fixes the shape once:
 
     spec(tensor, model, capacity=None, *, instrument=None, **kwargs)
 
-``get_scheduler`` now returns a spec (it *is* a callable, so every old
-``get_scheduler(name)(tensor, model, capacity)`` call keeps working),
-and the ``SCHEDULERS`` mapping of raw functions is preserved for
-backwards compatibility.
+:func:`scheduler_spec` looks a spec up by name; the ``SCHEDULERS``
+mapping exposes the raw functions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +27,6 @@ __all__ = [
     "SchedulerSpec",
     "SCHEDULER_SPECS",
     "SCHEDULERS",
-    "get_scheduler",
     "scheduler_spec",
 ]
 
@@ -137,8 +133,8 @@ SCHEDULER_SPECS: dict[str, SchedulerSpec] = {
     )
 }
 
-#: Backwards-compatible registry of the raw scheduler functions by
-#: table-column name (plus the online extension OMCDS).
+#: The raw scheduler functions by table-column name (plus the online
+#: extension OMCDS).
 SCHEDULERS: dict[str, Callable] = {
     name: spec.func for name, spec in SCHEDULER_SPECS.items()
 }
@@ -151,23 +147,3 @@ def scheduler_spec(name: str) -> SchedulerSpec:
     except KeyError:
         known = ", ".join(sorted(SCHEDULER_SPECS))
         raise KeyError(f"unknown scheduler {name!r}; known: {known}") from None
-
-
-def get_scheduler(name: str) -> SchedulerSpec:
-    """Deprecated alias for :func:`scheduler_spec`.
-
-    Returns the :class:`SchedulerSpec` — a callable with the uniform
-    ``(tensor, model, capacity=None, *, instrument=None, **kwargs)``
-    shape — so existing ``get_scheduler(name)(tensor, model, cap)``
-    call sites keep working.  New code should call
-    :func:`repro.schedule`/:func:`repro.schedule_many` (or
-    :func:`scheduler_spec` for metadata).
-    """
-    warnings.warn(
-        "get_scheduler() is deprecated; use repro.schedule(..., "
-        "algorithm=name) / repro.schedule_many(), or scheduler_spec() "
-        "for algorithm metadata",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scheduler_spec(name)

@@ -64,7 +64,7 @@ def reschedule_around_faults(
     tensor:
         Reference tensor ``R[d, w, p]`` of the application.
     model:
-        Communication cost model (metric + volumes).
+        Communication cost model; like GOMCDS the solve is volume-free.
     plan:
         The fault plan the schedule must survive.  Only node failures
         constrain placement; transient drops and link faults are handled
@@ -111,13 +111,8 @@ def reschedule_around_faults(
         )
 
         with obs.span("reschedule.cost_tensor"):
-            costs = model.all_placement_costs(tensor)  # (D, W, m)
-        dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
+            costs = model.reference_costs(tensor)  # (D, W, m) int64
+        dist = model.distances
 
         tracker = None
         if capacity is not None:
@@ -141,13 +136,10 @@ def reschedule_around_faults(
                     masks[d] = allowed
                 if certify:
                     path, _, potentials[d] = shortest_center_path(
-                        costs[d], vols[d] * dist, allowed=allowed,
-                        return_potentials=True,
+                        costs[d], dist, allowed=allowed, return_potentials=True
                     )
                 else:
-                    path, _ = shortest_center_path(
-                        costs[d], vols[d] * dist, allowed=allowed
-                    )
+                    path, _ = shortest_center_path(costs[d], dist, allowed=allowed)
                 if tracker is not None:
                     tracker.claim_path(path)
                 centers[d] = path
@@ -246,14 +238,9 @@ def reschedule_from_window(
         obs.gauge("reschedule.masked_cells", int((~alive).sum()))
 
         with obs.span("reschedule.cost_tensor"):
-            full_costs = model.all_placement_costs(tensor)
+            full_costs = model.reference_costs(tensor)
             costs = full_costs[:, from_window:, :]
-        dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
+        dist = model.distances
 
         tracker = None
         if capacity is not None:
@@ -280,7 +267,7 @@ def reschedule_from_window(
                 # pin the suffix to the rollback residency: entering window
                 # ``from_window`` at center c costs the move from where the
                 # datum actually sits right now
-                window_costs[0] += vols[d] * dist[placement[d], :]
+                window_costs[0] += dist[placement[d], :]
                 allowed = (
                     alive if tracker is None else alive & tracker.available_mask()
                 )
@@ -290,12 +277,12 @@ def reschedule_from_window(
                     prov_masks[d, from_window:] = allowed
                 if certify:
                     path, _, potentials[d] = shortest_center_path(
-                        window_costs, vols[d] * dist, allowed=allowed,
+                        window_costs, dist, allowed=allowed,
                         return_potentials=True,
                     )
                 else:
                     path, _ = shortest_center_path(
-                        window_costs, vols[d] * dist, allowed=allowed
+                        window_costs, dist, allowed=allowed
                     )
                 if tracker is not None:
                     tracker.claim_path(path)

@@ -41,7 +41,8 @@ def scds(
     tensor:
         Reference tensor ``R[d, w, p]`` built from the application trace.
     model:
-        Communication cost model (metric + volumes).
+        Communication cost model.  Only its metric steers the placement:
+        volume scales every cost of a datum alike.
     capacity:
         Optional memory constraint.  ``None`` means unbounded memory, in
         which case every datum lands exactly on its merged-window optimal
@@ -76,7 +77,7 @@ def scds(
                 costs = placement_cost_tensor_python(tensor, model)
                 totals = merged_totals_python(costs)
             else:
-                costs = model.all_placement_costs(tensor)  # (D, W, m)
+                costs = model.reference_costs(tensor)  # (D, W, m) int64
                 totals = costs.sum(axis=1)  # (D, m)
 
         if capacity is None:

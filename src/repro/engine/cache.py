@@ -43,9 +43,9 @@ from ..obs import Instrumentation, record_event, resolve
 
 __all__ = ["SolveCache", "solve_key", "deep_freeze", "CACHE_KEY_VERSION"]
 
-#: Bump when the key derivation changes so stale disk entries can never
-#: be confused with current ones.
-CACHE_KEY_VERSION = 1
+#: Bump when the key derivation changes *or* when solver outputs change
+#: (centers, certificate format), so stale disk entries are never served.
+CACHE_KEY_VERSION = 2
 
 #: Options that never change the solved schedule and are therefore left
 #: out of the content address.

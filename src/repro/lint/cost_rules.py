@@ -2,8 +2,8 @@
 
 The repo computes a schedule's cost two independent ways: the vectorized
 analytic evaluator (:func:`repro.core.evaluate_schedule`) and the paper's
-Algorithm-2 cost-graph formulation (:mod:`repro.core.costgraph`), whose
-edge weights spell out the same objective term by term.  CST001 walks
+Algorithm-2 cost-graph formulation, whose edge weights spell out the same
+objective term by term.  CST001 walks
 the schedule's own center path through the literal cost graph and
 demands the accumulated edge weight equal the evaluator's answer — a
 static differential test of the whole cost stack.  CST002 cross-checks

@@ -68,15 +68,17 @@ ACTION_DETOUR = 4  #: the locally cheapest center was inadmissible (full or dead
 class DecisionLog:
     """One solve's complete decision record, cell by cell.
 
-    All per-cell arrays are ``(n_data, n_windows)``.  ``ref_costs`` holds
-    the reference cost the chosen center accrues in that window (a gather
-    from the solver's own cost tensor); ``move_hops`` holds the metric
-    distance from the previous window's center (0 in window 0), kept
-    *unweighted* so :meth:`attributed_costs` can reproduce the evaluator's
+    All per-cell arrays are ``(n_data, n_windows)`` and, like the
+    solvers, volume-free.  ``ref_costs`` holds the reference hops the
+    chosen center accrues in that window (a gather from the solver's own
+    integer cost tensor); ``move_hops`` holds the metric distance from
+    the previous window's center (0 in window 0).  Both stay *unweighted*
+    so :meth:`attributed_costs` can reproduce the evaluator's
     ``sum(hops) * volume`` reduction order exactly.  ``runner_up`` /
     ``runner_up_delta`` are the per-window counterfactual: the second
-    cheapest admissible center and how much worse it would have been
-    (``-1`` / ``inf`` when no alternative existed).  For path-coupled
+    cheapest admissible center and how many hops worse it would have
+    been (``-1`` / ``inf`` when no alternative existed); ``tie`` compares
+    the exact integer costs.  For path-coupled
     solvers (GOMCDS and the reschedulers) the counterfactual is local to
     the window — the DP couples windows, so it reads as "the next-best
     host for this window", not "the next-best whole path".
@@ -87,12 +89,12 @@ class DecisionLog:
     n_procs: int
     centers: np.ndarray  #: (D, W) chosen center per cell
     actions: np.ndarray  #: (D, W) int8 codes into ACTION_NAMES
-    ref_costs: np.ndarray  #: (D, W) reference cost of the chosen center
+    ref_costs: np.ndarray  #: (D, W) unweighted reference hops of the chosen center
     move_hops: np.ndarray  #: (D, W) unweighted hop distance from previous center
-    volumes: np.ndarray  #: (D,) per-datum movement volume
+    volumes: np.ndarray  #: (D,) per-datum volume, applied after summing hops
     n_candidates: np.ndarray  #: (D, W) admissible centers considered
     runner_up: np.ndarray  #: (D, W) second-best admissible center (-1 = none)
-    runner_up_delta: np.ndarray  #: (D, W) runner-up cost minus chosen cost
+    runner_up_delta: np.ndarray  #: (D, W) runner-up hops minus chosen hops
     tie: np.ndarray  #: (D, W) chosen cost tied with another candidate
     forced: np.ndarray  #: (D, W) the unconstrained argmin was inadmissible
     label: str | None = None
@@ -111,16 +113,14 @@ class DecisionLog:
     def attributed_costs(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-datum ``(reference_cost, movement_cost)`` vectors.
 
-        Mirrors :func:`repro.core.evaluate.per_datum_costs` operation by
-        operation: the reference vector sums the per-window gathers, the
-        movement vector sums the unweighted hop distances over window
-        boundaries *first* and multiplies by the volume *after* — same
-        arrays, same axis, same order, hence the same bits.
+        Mirrors :func:`repro.core.evaluate.per_datum_costs`: both vectors
+        sum the unweighted per-window hops *first* (exact integers) and
+        multiply by the volume *after* — same values, same order, hence
+        the same bits.
         """
         ref = self.ref_costs.sum(axis=1)
         hops = self.move_hops[:, 1:].sum(axis=1)
-        move = hops * self.volumes
-        return ref.astype(np.float64), move.astype(np.float64)
+        return ref * self.volumes, hops * self.volumes
 
     def attribution(self):
         """The reconstructed :class:`~repro.core.evaluate.CostBreakdown`.
@@ -164,7 +164,7 @@ class DecisionLog:
         return {name: int(counts[i]) for i, name in enumerate(ACTION_NAMES)}
 
     def decision(self, d: int, w: int) -> dict:
-        """One cell as a JSON-ready record."""
+        """One cell as a JSON-ready record (costs weighted by volume)."""
         vol = float(self.volumes[d])
         hops = float(self.move_hops[d, w])
         return {
@@ -173,12 +173,12 @@ class DecisionLog:
             "window": int(w),
             "center": int(self.centers[d, w]),
             "action": ACTION_NAMES[int(self.actions[d, w])],
-            "ref_cost": float(self.ref_costs[d, w]),
+            "ref_cost": float(self.ref_costs[d, w]) * vol,
             "move_hops": hops,
             "move_cost": hops * vol,
             "n_candidates": int(self.n_candidates[d, w]),
             "runner_up": int(self.runner_up[d, w]),
-            "runner_up_delta": float(self.runner_up_delta[d, w]),
+            "runner_up_delta": float(self.runner_up_delta[d, w]) * vol,
             "tie": bool(self.tie[d, w]),
             "forced": bool(self.forced[d, w]),
         }
@@ -203,7 +203,8 @@ class DecisionLog:
                     "last_window": last,
                     "action": entry["action"],
                     "move_cost": entry["move_hops"] * vol,
-                    "ref_cost": float(self.ref_costs[d, first : last + 1].sum()),
+                    "ref_cost": float(self.ref_costs[d, first : last + 1].sum())
+                    * vol,
                     "n_candidates": entry["n_candidates"],
                     "runner_up": entry["runner_up"],
                     "runner_up_delta": entry["runner_up_delta"],
@@ -262,14 +263,6 @@ class DecisionLog:
 # ---------------------------------------------------------------------------
 # Derivation (one vectorized + one scalar path, bit-identical)
 # ---------------------------------------------------------------------------
-
-
-def _model_volumes(model, n_data: int) -> np.ndarray:
-    return (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
 
 
 def _empty_log(method, kernel, n_procs, centers, volumes, label, meta) -> DecisionLog:
@@ -339,7 +332,7 @@ def derive_decisions(
     Parameters
     ----------
     costs:
-        The solver's own ``(D, W, m)`` placement-cost tensor.
+        The solver's own volume-free ``(D, W, m)`` placement-cost tensor.
     centers:
         The solved ``(D, W)`` center matrix.
     dist:
@@ -475,7 +468,7 @@ def record_decisions(
         costs,
         centers,
         np.asarray(model.distances, dtype=np.float64),
-        _model_volumes(model, centers.shape[0]),
+        model.volume_column(centers.shape[0]),
         method=method,
         kernel=kernel,
         masks=masks,

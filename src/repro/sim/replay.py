@@ -175,11 +175,7 @@ def _spatial_recorder(obs, schedule, model, label: str | None = None):
     spatial telemetry; ``(None, None)`` on every uninstrumented path."""
     if not (obs.enabled and obs.spatial.recording):
         return None, None
-    vols = (
-        np.ones(schedule.n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+    vols = model.volume_column(schedule.n_data)
     recorder = SpatialRecorder(
         model.topology,
         schedule.windows.n_windows,
@@ -229,11 +225,7 @@ def _serve_window_plain(
             actual=int(centers[i]),
             window=w,
         )
-    vols = (
-        np.ones(len(idx))
-        if model.volumes is None
-        else np.asarray(model.volumes)[data]
-    )
+    vols = model.volume_column(schedule.n_data)[data]
     hop_costs = dist[centers, procs] * counts * vols
     report.reference_cost += float(hop_costs.sum())
     report.per_window_cost[w] += float(hop_costs.sum())

@@ -106,11 +106,7 @@ def estimate_execution_time(
     move_comm = np.zeros(n_windows)
 
     event_windows = windows.assign(trace.steps)
-    vols = (
-        np.ones(len(trace))
-        if model.volumes is None
-        else np.asarray(model.volumes)[trace.data]
-    )
+    vols = model.volume_column(schedule.n_data)[trace.data]
 
     for w in range(n_windows):
         mask = event_windows == w

@@ -127,14 +127,6 @@ class _RouteCache:
         return self._cache[pair]
 
 
-def _volumes(model, n_data: int) -> np.ndarray:
-    return (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
-
-
 def _live_ranges(centers: np.ndarray) -> list[list[tuple[int, int, int]]]:
     """Run-length encode each datum's center row into residency intervals."""
     ranges: list[list[tuple[int, int, int]]] = []
@@ -239,7 +231,7 @@ def _interpret_fault_free(
     n_data, n_windows = centers.shape
     counts = tensor.counts  # (D, W, m)
     dist = model.distances
-    vols = _volumes(model, n_data)
+    vols = model.volume_column(n_data)
 
     # reference cost: for every (d, w) the schedule picks one row of the
     # distance matrix; movement cost prices each center transition
@@ -312,7 +304,7 @@ def _interpret_faulted(
     n_data, n_windows = centers.shape
     n_procs = model.n_procs
     dist = model.distances
-    vols = _volumes(model, n_data)
+    vols = model.volume_column(n_data)
     injector = FaultInjector(faults, model.topology, n_windows)
 
     pred = StaticPrediction(

@@ -20,6 +20,10 @@ minimum-cost path over its admissible ``(window, processor)`` cells —
 no trust in the solver required, and any tampering with potentials,
 totals or centers breaks one of them.
 
+Certificates are version 2: potentials live in the solvers' volume-free
+domain (hop counts, exact integers in float64), so the checker needs no
+volumes and compares exactly.  Any other version is ``VER005``.
+
 The theory cross-check (``VER011``) ties the certificate to the paper's
 §4 structure: Lemma 1 / Theorem 2 argue via cost rows that are convex
 and separable along the mesh axes, which
@@ -39,12 +43,12 @@ from ..diagnostics import VER005, VER006, VER007, VER011, Diagnostic, Severity
 from ..faults import FaultPlan
 from ..theory import is_separable_convex
 from ..trace import ReferenceTensor
-from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit, _volumes
+from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit
 
 __all__ = ["check_certificate", "certificate_of"]
 
-#: relative tolerance for cost comparisons (costs are hop-count sums).
-_TOL = 1e-6
+#: the certificate format this checker understands (volume-free potentials)
+CERTIFICATE_VERSION = 2
 #: cap on separable-convexity spot checks (rows are independent).
 _THEORY_SAMPLE = 32
 
@@ -108,6 +112,11 @@ def check_certificate(
 
     if cert.get("kind") != "gomcds-potentials":
         return _malformed(f"unknown kind {cert.get('kind')!r}")
+    if cert.get("version") != CERTIFICATE_VERSION:
+        return _malformed(
+            f"unsupported version {cert.get('version')!r}, expected "
+            f"{CERTIFICATE_VERSION}"
+        )
 
     n_data, n_windows = schedule.centers.shape
     n_procs = model.n_procs
@@ -162,43 +171,35 @@ def check_certificate(
             )
 
     # -- rebuild the cost tensor independently of the solver ----------------
-    costs = model.all_placement_costs(tensor)[:, from_window:, :].astype(
-        np.float64, copy=True
+    costs = model.reference_costs(tensor)[:, from_window:, :].astype(
+        np.float64
     )
     dist = model.distances.astype(np.float64)
-    vols = _volumes(model, n_data)
     if placement is not None:
         # the recovery DP pins its first window to the rollback residency
-        costs[:, 0, :] += vols[:, None] * dist[placement, :]
+        costs[:, 0, :] += dist[placement, :]
     if masks is not None:
         costs[~masks] = np.inf
 
-    _check_dual_feasibility(potentials, costs, dist, vols, diagnostics,
-                            from_window)
+    _check_dual_feasibility(potentials, costs, dist, diagnostics, from_window)
     _check_tightness(
-        schedule, potentials, totals, costs, dist, vols, from_window,
-        diagnostics,
+        schedule, potentials, totals, costs, dist, from_window, diagnostics
     )
     if check_theory:
         _check_theory(schedule, tensor, model, from_window, diagnostics)
     return diagnostics
 
 
-def _check_dual_feasibility(
-    potentials, costs, dist, vols, diagnostics, from_window
-):
+def _check_dual_feasibility(potentials, costs, dist, diagnostics, from_window):
     """VER006: ``pi`` must never exceed the best incoming value."""
-    n_data, n_suffix, _ = potentials.shape
-    finite = potentials[np.isfinite(potentials)]
-    tol = _TOL * (1.0 + (float(np.abs(finite).max()) if finite.size else 0.0))
-    move = vols[:, None, None] * dist[None, :, :]  # (D, m, m)
+    n_suffix = potentials.shape[1]
     lower = costs[:, 0, :]
     for w in range(n_suffix):
         if w > 0:
             lower = (
-                potentials[:, w - 1, :, None] + move
+                potentials[:, w - 1, :, None] + dist
             ).min(axis=1) + costs[:, w, :]
-        bad = potentials[:, w, :] > lower + tol
+        bad = potentials[:, w, :] > lower
         for d, p in zip(*np.nonzero(bad)):
             _emit(
                 diagnostics,
@@ -219,18 +220,14 @@ def _check_dual_feasibility(
 
 
 def _check_tightness(
-    schedule, potentials, totals, costs, dist, vols, from_window, diagnostics
+    schedule, potentials, totals, costs, dist, from_window, diagnostics
 ):
     """VER007: recomputed path cost == claimed total == certified bound."""
-    n_data, n_suffix, _ = potentials.shape
     path = schedule.centers[:, from_window:]
     bound = potentials[:, -1, :].min(axis=1)
-    tol = _TOL * (1.0 + np.abs(np.where(np.isfinite(bound), bound, 0.0)))
 
     gathered = np.take_along_axis(costs, path[:, :, None], axis=2)[:, :, 0]
-    actual = gathered.sum(axis=1)
-    if n_suffix > 1:
-        actual = actual + vols * dist[path[:, :-1], path[:, 1:]].sum(axis=1)
+    actual = gathered.sum(axis=1) + dist[path[:, :-1], path[:, 1:]].sum(axis=1)
 
     for d in np.nonzero(~np.isfinite(actual))[0]:
         _emit(
@@ -248,9 +245,7 @@ def _check_tightness(
         )
     finite = np.isfinite(actual)
 
-    for d in np.nonzero(
-        finite & (np.abs(actual - totals) > tol)
-    )[0]:
+    for d in np.nonzero(finite & (actual != totals))[0]:
         _emit(
             diagnostics,
             Diagnostic(
@@ -263,7 +258,7 @@ def _check_tightness(
                 datum=int(d),
             ),
         )
-    for d in np.nonzero(finite & (actual > bound + tol))[0]:
+    for d in np.nonzero(finite & (actual > bound))[0]:
         _emit(
             diagnostics,
             Diagnostic(
@@ -280,7 +275,7 @@ def _check_tightness(
             ),
         )
     # a totals vector below its own potentials' bound is a forged claim
-    for d in np.nonzero(totals < bound - tol)[0]:
+    for d in np.nonzero(totals < bound)[0]:
         _emit(
             diagnostics,
             Diagnostic(
@@ -298,7 +293,7 @@ def _check_tightness(
 
 def _check_theory(schedule, tensor, model, from_window, diagnostics):
     """VER011: sampled cost rows must satisfy the Lemma 1 preconditions."""
-    costs = model.all_placement_costs(tensor)
+    costs = model.reference_costs(tensor)
     referenced = costs.sum(axis=2) > 0  # (D, W): rows with any cost mass
     checked = 0
     for d, w in zip(*np.nonzero(referenced)):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    CostModel,
-    evaluate_schedule,
-    gomcds,
-    gomcds_budgeted,
-    movement_frontier,
-    scds,
-)
+import repro
+from repro.core import CostModel, evaluate_schedule, gomcds_budgeted, movement_frontier
 from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityPlan
 from repro.trace import build_reference_tensor
@@ -37,7 +31,9 @@ class TestReductions:
         b0 = evaluate_schedule(
             gomcds_budgeted(tensor, model, 0), tensor, model
         ).total
-        static = evaluate_schedule(scds(tensor, model), tensor, model).total
+        static = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="scds"), tensor, model
+        ).total
         assert b0 == pytest.approx(static)
         assert gomcds_budgeted(tensor, model, 0).is_static()
 
@@ -46,7 +42,9 @@ class TestReductions:
         full = evaluate_schedule(
             gomcds_budgeted(tensor, model, tensor.n_windows - 1), tensor, model
         ).total
-        free = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+        free = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
         assert full == pytest.approx(free)
 
     def test_budget_beyond_windows_is_harmless(self):
@@ -54,7 +52,9 @@ class TestReductions:
         a = evaluate_schedule(
             gomcds_budgeted(tensor, model, 100), tensor, model
         ).total
-        b = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+        b = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
         assert a == pytest.approx(b)
 
 

@@ -82,7 +82,25 @@ class TestVolumes:
         with pytest.raises(ValueError):
             CostModel(Mesh1D(3), volumes=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_volumes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(Mesh1D(3), volumes=np.array([1.0, bad]))
+
     def test_volume_count_mismatch_caught(self, tiny_tensor, mesh23):
         model = CostModel(mesh23, volumes=np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             model.all_placement_costs(tiny_tensor)
+
+    @pytest.mark.parametrize("algorithm", ["scds", "lomcds", "gomcds", "omcds"])
+    def test_volume_count_mismatch_caught_by_schedule(
+        self, tiny_tensor, mesh23, algorithm
+    ):
+        from repro import ScheduleRequest, schedule, schedule_many
+
+        model = CostModel(mesh23, volumes=np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="3 volumes"):
+            schedule(tiny_tensor, model, algorithm=algorithm)
+        request = ScheduleRequest(tiny_tensor, model, algorithm=algorithm)
+        with pytest.raises(ValueError, match="3 volumes"):
+            schedule_many([request])

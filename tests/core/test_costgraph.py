@@ -4,8 +4,16 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import CostModel, build_cost_graph, shortest_center_path, solve_cost_graph
-from repro.core.costgraph import SINK, SOURCE, gomcds_via_graph
+import repro
+from repro.core import CostModel, shortest_center_path
+
+from .costgraph import (
+    SINK,
+    SOURCE,
+    build_cost_graph,
+    gomcds_via_graph,
+    solve_cost_graph,
+)
 
 
 class TestStructure:
@@ -82,11 +90,11 @@ class TestSolve:
             assert g_cost == pytest.approx(d_cost)
 
     def test_gomcds_via_graph_matches_scheduler(self, drift, mesh44):
-        from repro.core import evaluate_schedule, gomcds
+        from repro.core import evaluate_schedule
 
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
-        schedule = gomcds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="gomcds")
         for d in (0, 3, 7):
             centers, cost = gomcds_via_graph(tensor, model, d)
             single = type(tensor)(

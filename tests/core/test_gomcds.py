@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    CostModel,
-    evaluate_schedule,
-    gomcds,
-    lomcds,
-    scds,
-    shortest_center_path,
-)
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule, shortest_center_path
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
 from repro.trace import build_reference_tensor
@@ -66,32 +60,40 @@ class TestShortestCenterPath:
 class TestGomcds:
     def test_beats_or_matches_scds(self, lu8_tensor, mesh44):
         model = CostModel(mesh44)
-        go = evaluate_schedule(gomcds(lu8_tensor, model), lu8_tensor, model).total
-        sc = evaluate_schedule(scds(lu8_tensor, model), lu8_tensor, model).total
+        go = evaluate_schedule(
+            schedule(lu8_tensor, model, algorithm="gomcds"), lu8_tensor, model
+        ).total
+        sc = evaluate_schedule(
+            schedule(lu8_tensor, model, algorithm="scds"), lu8_tensor, model
+        ).total
         assert go <= sc
 
     def test_beats_or_matches_lomcds_realized_cost(self, lu8_tensor, mesh44):
         model = CostModel(mesh44)
-        go = evaluate_schedule(gomcds(lu8_tensor, model), lu8_tensor, model).total
-        lo = evaluate_schedule(lomcds(lu8_tensor, model), lu8_tensor, model).total
+        go = evaluate_schedule(
+            schedule(lu8_tensor, model, algorithm="gomcds"), lu8_tensor, model
+        ).total
+        lo = evaluate_schedule(
+            schedule(lu8_tensor, model, algorithm="lomcds"), lu8_tensor, model
+        ).total
         assert go <= lo
 
     def test_ignores_weak_remote_pull(self):
         # one faraway reference is not worth a round trip
         tensor, model = tensor_1d([[[5, 0, 0, 0, 0], [0, 0, 0, 0, 1], [5, 0, 0, 0, 0]]])
-        sched = gomcds(tensor, model)
+        sched = schedule(tensor, model, algorithm="gomcds")
         assert sched.centers[0].tolist() == [0, 0, 0]
 
     def test_follows_strong_remote_pull(self):
         tensor, model = tensor_1d([[[5, 0, 0, 0, 0], [0, 0, 0, 0, 9], [5, 0, 0, 0, 0]]])
-        sched = gomcds(tensor, model)
+        sched = schedule(tensor, model, algorithm="gomcds")
         assert sched.centers[0].tolist() == [0, 4, 0]
 
     def test_vectorized_matches_sequential(self, drift, mesh44):
         """The all-data DP must equal per-datum shortest paths."""
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
-        fast = gomcds(tensor, model)
+        fast = schedule(tensor, model, algorithm="gomcds")
         dist = model.distances.astype(float)
         costs = model.all_placement_costs(tensor)
         for d in range(tensor.n_data):
@@ -113,13 +115,15 @@ class TestGomcds:
         trace, windows = trace_from_counts(counts, topo)
         tensor = build_reference_tensor(trace, windows)
         cap = CapacityPlan.uniform(16, 3)
-        sched = gomcds(tensor, CostModel(topo), capacity=cap)
+        sched = schedule(tensor, CostModel(topo), algorithm="gomcds", capacity=cap)
         assert (sched.occupancy(16) <= 3).all()
 
     def test_infeasible_raises(self):
         tensor, model = tensor_1d([[[1, 0]], [[0, 1]], [[1, 1]]])
         with pytest.raises(CapacityError):
-            gomcds(tensor, model, capacity=CapacityPlan.uniform(2, 1))
+            schedule(
+                tensor, model, algorithm="gomcds", capacity=CapacityPlan.uniform(2, 1)
+            )
 
     def test_uniform_volume_scales_cost_not_centers(self):
         # volume multiplies reference and movement alike, so the optimal
@@ -130,8 +134,8 @@ class TestGomcds:
         tensor = build_reference_tensor(trace, windows)
         unit_model = CostModel(topo)
         heavy_model = CostModel(topo, volumes=np.array([100.0]))
-        light = gomcds(tensor, unit_model)
-        heavy = gomcds(tensor, heavy_model)
+        light = schedule(tensor, unit_model, algorithm="gomcds")
+        heavy = schedule(tensor, heavy_model, algorithm="gomcds")
         assert np.array_equal(light.centers, heavy.centers)
         assert evaluate_schedule(heavy, tensor, heavy_model).total == pytest.approx(
             100.0 * evaluate_schedule(light, tensor, unit_model).total
@@ -139,6 +143,6 @@ class TestGomcds:
 
     def test_deterministic(self, lu8_tensor, mesh44):
         model = CostModel(mesh44)
-        assert np.array_equal(
-            gomcds(lu8_tensor, model).centers, gomcds(lu8_tensor, model).centers
-        )
+        a = schedule(lu8_tensor, model, algorithm="gomcds")
+        b = schedule(lu8_tensor, model, algorithm="gomcds")
+        assert np.array_equal(a.centers, b.centers)

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import schedule
 from repro.core import (
     CostModel,
     evaluate_schedule,
-    gomcds,
     greedy_grouping,
     grouped_schedule,
-    lomcds,
     optimal_grouping,
     partition_cost,
 )
@@ -127,7 +126,9 @@ class TestGroupedSchedule:
     def test_improves_or_matches_lomcds(self, drift, mesh44):
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
-        plain = evaluate_schedule(lomcds(tensor, model), tensor, model).total
+        plain = evaluate_schedule(
+            schedule(tensor, model, algorithm="lomcds"), tensor, model
+        ).total
         grouped = evaluate_schedule(
             grouped_schedule(tensor, model, center_method="local"), tensor, model
         ).total
@@ -136,7 +137,9 @@ class TestGroupedSchedule:
     def test_gomcds_lower_bounds_local_grouping(self, drift, mesh44):
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
-        bound = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+        bound = evaluate_schedule(
+            schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
         for strategy in ("greedy", "optimal"):
             got = evaluate_schedule(
                 grouped_schedule(tensor, model, strategy=strategy), tensor, model

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, evaluate_schedule, lomcds, scds
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
 from repro.trace import build_reference_tensor
@@ -18,14 +19,14 @@ def tensor_1d(counts):
 
 def test_centers_are_per_window_optima():
     tensor, model = tensor_1d([[[3, 0, 0, 0, 0], [0, 0, 0, 0, 2]]])
-    sched = lomcds(tensor, model)
+    sched = schedule(tensor, model, algorithm="lomcds")
     assert sched.centers[0].tolist() == [0, 4]
 
 
 def test_reference_cost_is_minimal_per_window():
     # LOMCDS minimizes each window's reference cost by construction
     tensor, model = tensor_1d([[[1, 0, 2, 0, 0], [0, 1, 0, 0, 3]]])
-    sched = lomcds(tensor, model)
+    sched = schedule(tensor, model, algorithm="lomcds")
     costs = model.all_placement_costs(tensor)[0]
     for w in range(2):
         assert costs[w, sched.centers[0, w]] == costs[w].min()
@@ -34,7 +35,7 @@ def test_reference_cost_is_minimal_per_window():
 def test_idle_window_holds_position():
     # datum referenced only in windows 0 and 2; window 1 must not move it
     tensor, model = tensor_1d([[[0, 0, 0, 0, 3], [0, 0, 0, 0, 0], [0, 0, 0, 0, 3]]])
-    sched = lomcds(tensor, model)
+    sched = schedule(tensor, model, algorithm="lomcds")
     assert sched.centers[0].tolist() == [4, 4, 4]
     assert sched.n_movements() == 0
 
@@ -42,13 +43,13 @@ def test_idle_window_holds_position():
 def test_leading_idle_windows_backfill():
     # unreferenced until window 1: the initial placement is already there
     tensor, model = tensor_1d([[[0, 0, 0], [0, 0, 2]]])
-    sched = lomcds(tensor, model)
+    sched = schedule(tensor, model, algorithm="lomcds")
     assert sched.centers[0].tolist() == [2, 2]
 
 
 def test_fully_unreferenced_datum_is_stable():
     tensor, model = tensor_1d([[[0, 0, 0], [0, 0, 0]], [[1, 0, 0], [1, 0, 0]]])
-    sched = lomcds(tensor, model)
+    sched = schedule(tensor, model, algorithm="lomcds")
     assert sched.n_movements() == 0
 
 
@@ -59,7 +60,7 @@ def test_capacity_respected_per_window():
     trace, windows = trace_from_counts(counts, topo)
     tensor = build_reference_tensor(trace, windows)
     cap = CapacityPlan.uniform(6, 2)
-    sched = lomcds(tensor, CostModel(topo), capacity=cap)
+    sched = schedule(tensor, CostModel(topo), algorithm="lomcds", capacity=cap)
     assert (sched.occupancy(6) <= 2).all()
 
 
@@ -71,7 +72,9 @@ def test_capacity_displacement_prefers_staying_put_when_idle():
         [[0, 0, 2], [0, 0, 0]],
     ]
     tensor, model = tensor_1d(counts)
-    sched = lomcds(tensor, model, capacity=CapacityPlan.uniform(3, 2))
+    sched = schedule(
+        tensor, model, algorithm="lomcds", capacity=CapacityPlan.uniform(3, 2)
+    )
     assert sched.centers[1].tolist() == [2, 2]
 
 
@@ -92,7 +95,7 @@ def test_idle_window_eviction_when_held_slot_is_taken():
     from repro.obs import Instrumentation
 
     instr = Instrumentation.started()
-    sched = lomcds(tensor, model, capacity=cap, instrument=instr)
+    sched = schedule(tensor, model, algorithm="lomcds", capacity=cap, instrument=instr)
     assert sched.centers[0].tolist() == [1, 0]
     # evicted: could not stay at proc 0 while idle
     assert sched.centers[1].tolist() == [0, 1]
@@ -101,7 +104,9 @@ def test_idle_window_eviction_when_held_slot_is_taken():
     assert instr.metrics.counters["lomcds.idle_holds"].value == 0
 
     # with room to spare the same datum holds position instead
-    roomy = lomcds(tensor, model, capacity=CapacityPlan.uniform(2, 2))
+    roomy = schedule(
+        tensor, model, algorithm="lomcds", capacity=CapacityPlan.uniform(2, 2)
+    )
     assert roomy.centers[1].tolist() == [0, 0]
 
 
@@ -117,7 +122,13 @@ def test_idle_hold_is_counted():
     from repro.obs import Instrumentation
 
     instr = Instrumentation.started()
-    lomcds(tensor, model, capacity=CapacityPlan.uniform(2, 2), instrument=instr)
+    schedule(
+        tensor,
+        model,
+        algorithm="lomcds",
+        capacity=CapacityPlan.uniform(2, 2),
+        instrument=instr,
+    )
     assert instr.metrics.counters["lomcds.idle_holds"].value == 1
     assert instr.metrics.counters["lomcds.idle_evictions"].value == 0
 
@@ -125,7 +136,7 @@ def test_idle_hold_is_counted():
 def test_infeasible_raises():
     tensor, model = tensor_1d([[[1, 0]], [[0, 1]], [[1, 1]]])
     with pytest.raises(CapacityError):
-        lomcds(tensor, model, capacity=CapacityPlan.uniform(2, 1))
+        schedule(tensor, model, algorithm="lomcds", capacity=CapacityPlan.uniform(2, 1))
 
 
 def test_single_window_equals_scds_cost(lu8_tensor, mesh44):
@@ -133,13 +144,21 @@ def test_single_window_equals_scds_cost(lu8_tensor, mesh44):
 
     model = CostModel(mesh44)
     merged = lu8_tensor.regroup(single_window(lu8_tensor.windows.n_steps))
-    a = evaluate_schedule(lomcds(merged, model), merged, model).total
-    b = evaluate_schedule(scds(merged, model), merged, model).total
+    a = evaluate_schedule(
+        schedule(merged, model, algorithm="lomcds"), merged, model
+    ).total
+    b = evaluate_schedule(
+        schedule(merged, model, algorithm="scds"), merged, model
+    ).total
     assert a == b
 
 
 def test_deterministic(lu8_tensor, mesh44):
     model = CostModel(mesh44)
     assert np.array_equal(
-        lomcds(lu8_tensor, model).centers, lomcds(lu8_tensor, model).centers
+        schedule(
+            lu8_tensor, model, algorithm="lomcds"
+        ).centers, schedule(
+            lu8_tensor, model, algorithm="lomcds"
+        ).centers
     )

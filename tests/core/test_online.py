@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CostModel, evaluate_schedule, gomcds, omcds
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule, omcds
 from repro.grid import Mesh1D
 from repro.mem import CapacityPlan
 from repro.trace import build_reference_tensor
@@ -62,7 +63,9 @@ def test_ignores_transient_blip():
 def test_online_never_beats_offline_optimum(drift, mesh44):
     tensor = drift.reference_tensor()
     model = CostModel(mesh44)
-    offline = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+    offline = evaluate_schedule(
+        schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
     for h in (1.0, 2.0, 4.0):
         online = evaluate_schedule(
             omcds(tensor, model, hysteresis=h), tensor, model
@@ -102,10 +105,10 @@ def test_bad_hysteresis_rejected(drift, mesh44):
 
 
 def test_registered_in_scheduler_registry():
-    from repro.core import SCHEDULERS, get_scheduler
+    from repro.core import SCHEDULERS, scheduler_spec
 
-    # get_scheduler returns the uniformly-shaped spec wrapping the function
-    assert get_scheduler("omcds").func is omcds
+    # scheduler_spec returns the uniformly-shaped spec wrapping the function
+    assert scheduler_spec("omcds").func is omcds
     assert SCHEDULERS["OMCDS"] is omcds
 
 

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import schedule
 from repro.core import (
     CostModel,
     evaluate_schedule,
-    gomcds,
     optimal_static_placement,
-    scds,
     static_lower_bound,
 )
 from repro.grid import Mesh1D
@@ -27,7 +26,9 @@ def test_unconstrained_matches_scds(lu8_tensor, mesh44):
     opt = evaluate_schedule(
         optimal_static_placement(lu8_tensor, model), lu8_tensor, model
     ).total
-    greedy = evaluate_schedule(scds(lu8_tensor, model), lu8_tensor, model).total
+    greedy = evaluate_schedule(
+        schedule(lu8_tensor, model, algorithm="scds"), lu8_tensor, model
+    ).total
     assert opt == greedy
 
 
@@ -38,9 +39,10 @@ def test_never_worse_than_greedy_scds(lu8_tensor, mesh44):
         opt = evaluate_schedule(
             optimal_static_placement(lu8_tensor, model, cap), lu8_tensor, model
         ).total
-        greedy = evaluate_schedule(
-            scds(lu8_tensor, model, cap), lu8_tensor, model
-        ).total
+        greedy_schedule = schedule(
+            lu8_tensor, model, algorithm="scds", capacity=cap
+        )
+        greedy = evaluate_schedule(greedy_schedule, lu8_tensor, model).total
         assert opt <= greedy
 
 
@@ -65,7 +67,9 @@ def test_exact_on_crafted_swap_instance():
     tensor = make_tensor(counts, topo)
     model = CostModel(topo)
     cap = CapacityPlan.uniform(2, 1)
-    greedy = evaluate_schedule(scds(tensor, model, cap), tensor, model).total
+    greedy = evaluate_schedule(
+        schedule(tensor, model, algorithm="scds", capacity=cap), tensor, model
+    ).total
     opt = evaluate_schedule(
         optimal_static_placement(tensor, model, cap), tensor, model
     ).total
@@ -108,7 +112,9 @@ def test_movement_can_beat_the_static_optimum(mesh44):
     tensor = make_tensor(counts, topo)
     model = CostModel(topo)
     bound = static_lower_bound(tensor, model)
-    moving = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+    moving = evaluate_schedule(
+        schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
     assert moving < bound
 
 

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    CostModel,
-    Schedule,
-    evaluate_schedule,
-    gomcds,
-    refine_schedule,
-    scds,
-)
+import repro
+from repro.core import CostModel, Schedule, evaluate_schedule, refine_schedule
 from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityPlan
 from repro.trace import build_reference_tensor
@@ -31,8 +25,10 @@ def test_never_degrades():
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
     cap = CapacityPlan.uniform(9, 3)
-    for scheduler in (scds, gomcds):
-        schedule = scheduler(tensor, model, cap)
+    for algorithm in ("scds", "gomcds"):
+        schedule = repro.schedule(
+            tensor, model, algorithm=algorithm, capacity=cap
+        )
         result = refine_schedule(schedule, tensor, model, cap)
         assert result.final_cost <= result.initial_cost
         assert result.initial_cost == pytest.approx(
@@ -50,7 +46,7 @@ def test_unconstrained_optimum_is_a_fixed_point():
     trace, windows = trace_from_counts(counts, topo)
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
-    schedule = gomcds(tensor, model)
+    schedule = repro.schedule(tensor, model, algorithm="gomcds")
     result = refine_schedule(schedule, tensor, model)
     # already globally optimal per datum: nothing to improve
     assert result.final_cost == result.initial_cost
@@ -85,7 +81,12 @@ def test_capacity_preserved():
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
     cap = CapacityPlan.uniform(9, 2)
-    result = refine_schedule(gomcds(tensor, model, cap), tensor, model, cap)
+    result = refine_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds", capacity=cap),
+        tensor,
+        model,
+        cap,
+    )
     occ = result.schedule.occupancy(9)
     assert (occ <= 2).all()
 
@@ -128,12 +129,24 @@ def test_deterministic():
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
     cap = CapacityPlan.uniform(9, 2)
-    a = refine_schedule(gomcds(tensor, model, cap), tensor, model, cap)
-    b = refine_schedule(gomcds(tensor, model, cap), tensor, model, cap)
+    a = refine_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds", capacity=cap),
+        tensor,
+        model,
+        cap,
+    )
+    b = refine_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds", capacity=cap),
+        tensor,
+        model,
+        cap,
+    )
     assert np.array_equal(a.schedule.centers, b.schedule.centers)
 
 
 def test_method_label(lu8_tensor, mesh44):
     model = CostModel(mesh44)
-    result = refine_schedule(scds(lu8_tensor, model), lu8_tensor, model)
+    result = refine_schedule(
+        repro.schedule(lu8_tensor, model, algorithm="scds"), lu8_tensor, model
+    )
     assert result.schedule.method == "SCDS+refine"

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import schedule
 from repro.core import (
     CostModel,
     evaluate_replicated,
     evaluate_schedule,
     greedy_k_median,
     replicated_scds,
-    scds,
 )
 from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityError, CapacityPlan
@@ -77,7 +77,7 @@ class TestReplicatedScds:
         placement = replicated_scds(lu8_tensor, model, k=1)
         repl_cost = evaluate_replicated(placement, lu8_tensor, model)
         scds_cost = evaluate_schedule(
-            scds(lu8_tensor, model), lu8_tensor, model
+            schedule(lu8_tensor, model, algorithm="scds"), lu8_tensor, model
         ).total
         assert repl_cost == pytest.approx(scds_cost)
 

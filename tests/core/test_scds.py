@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, evaluate_schedule, scds
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
 from repro.trace import build_reference_tensor
@@ -19,7 +20,7 @@ def tensor_1d(counts):
 def test_places_at_merged_optimum():
     # datum referenced at procs 0 (x1) and 4 (x3): weighted median is 4
     tensor, model = tensor_1d([[[1, 0, 0, 0, 3]]])
-    sched = scds(tensor, model)
+    sched = schedule(tensor, model, algorithm="scds")
     assert sched.centers[0, 0] == 4
     assert sched.is_static()
 
@@ -27,18 +28,18 @@ def test_places_at_merged_optimum():
 def test_merges_all_windows():
     # per-window optima differ, but merged counts favour proc 0
     tensor, model = tensor_1d([[[3, 0, 0, 0, 0], [0, 0, 0, 0, 1]]])
-    sched = scds(tensor, model)
+    sched = schedule(tensor, model, algorithm="scds")
     assert set(sched.centers[0]) == {0}
 
 
 def test_tie_breaks_toward_lowest_pid():
     tensor, model = tensor_1d([[[1, 0, 1]]])  # any of 0,1,2 optimal
-    assert scds(tensor, model).centers[0, 0] == 0
+    assert schedule(tensor, model, algorithm="scds").centers[0, 0] == 0
 
 
 def test_unreferenced_datum_gets_some_placement():
     tensor, model = tensor_1d([[[0, 0, 0]], [[0, 1, 0]]][::-1])
-    sched = scds(tensor, model)
+    sched = schedule(tensor, model, algorithm="scds")
     assert 0 <= sched.centers[0, 0] < 3
 
 
@@ -50,7 +51,7 @@ def test_capacity_displaces_to_second_best():
     ]
     tensor, model = tensor_1d(counts)
     cap = CapacityPlan.uniform(5, 1)
-    sched = scds(tensor, model, capacity=cap)
+    sched = schedule(tensor, model, algorithm="scds", capacity=cap)
     assert sched.centers[0, 0] == 2
     # light datum: costs by proc = [7,5,3,... wait compute: refs 2@2, 1@3
     # cost(c) = 2|c-2| + |c-3| -> [7,5,3,2*1+0=... ] argsort -> 2 best, then 3
@@ -64,7 +65,7 @@ def test_capacity_respected_globally():
     trace, windows = trace_from_counts(counts, topo)
     tensor = build_reference_tensor(trace, windows)
     cap = CapacityPlan.uniform(6, 2)
-    sched = scds(tensor, CostModel(topo), capacity=cap)
+    sched = schedule(tensor, CostModel(topo), algorithm="scds", capacity=cap)
     occ = sched.occupancy(6)
     assert (occ <= 2).all()
 
@@ -72,21 +73,24 @@ def test_capacity_respected_globally():
 def test_capacity_infeasible_raises():
     tensor, model = tensor_1d([[[1, 0]], [[0, 1]], [[1, 1]]])
     with pytest.raises(CapacityError):
-        scds(tensor, model, capacity=CapacityPlan.uniform(2, 1))
+        schedule(tensor, model, algorithm="scds", capacity=CapacityPlan.uniform(2, 1))
 
 
 def test_deterministic(lu8_tensor, mesh44):
     model = CostModel(mesh44)
-    a = scds(lu8_tensor, model)
-    b = scds(lu8_tensor, model)
+    a = schedule(lu8_tensor, model, algorithm="scds")
+    b = schedule(lu8_tensor, model, algorithm="scds")
     assert np.array_equal(a.centers, b.centers)
 
 
 def test_capacity_none_equals_large_capacity(lu8_tensor, mesh44):
     model = CostModel(mesh44)
-    unconstrained = scds(lu8_tensor, model)
-    loose = scds(
-        lu8_tensor, model, capacity=CapacityPlan.unbounded(16, lu8_tensor.n_data)
+    unconstrained = schedule(lu8_tensor, model, algorithm="scds")
+    loose = schedule(
+        lu8_tensor,
+        model,
+        algorithm="scds",
+        capacity=CapacityPlan.unbounded(16, lu8_tensor.n_data),
     )
     cost_a = evaluate_schedule(unconstrained, lu8_tensor, model).total
     cost_b = evaluate_schedule(loose, lu8_tensor, model).total
@@ -94,4 +98,4 @@ def test_capacity_none_equals_large_capacity(lu8_tensor, mesh44):
 
 
 def test_method_label(lu8_tensor, mesh44):
-    assert scds(lu8_tensor, CostModel(mesh44)).method == "SCDS"
+    assert schedule(lu8_tensor, CostModel(mesh44), algorithm="scds").method == "SCDS"

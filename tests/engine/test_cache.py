@@ -192,6 +192,23 @@ def test_disk_store_roundtrip(tmp_path, small):
     assert reader.stats()["disk_hits"] == 1
 
 
+def test_entry_written_under_v1_key_is_not_served(tmp_path, small, monkeypatch):
+    import repro.engine.cache as cache_module
+
+    tensor, model = small
+    assert cache_module.CACHE_KEY_VERSION == 2
+    with monkeypatch.context() as patched:
+        patched.setattr(cache_module, "CACHE_KEY_VERSION", 1)
+        stale_key = solve_key(tensor, model)
+    SolveCache(disk_dir=tmp_path).put(stale_key, schedule(tensor, model))
+
+    reader = SolveCache(disk_dir=tmp_path)
+    key = solve_key(tensor, model)
+    assert key != stale_key
+    assert reader.get(key) is None
+    assert reader.stats()["disk_hits"] == 0
+
+
 def test_corrupt_disk_entry_is_a_miss(tmp_path, small):
     tensor, model = small
     key = solve_key(tensor, model)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import gomcds
+from repro import schedule
 from repro.faults import (
     FaultPlan,
     LinkFault,
@@ -16,7 +16,7 @@ from repro.sim import replay_schedule, simulate_schedule_network
 
 @pytest.fixture
 def lu_schedule(lu8_tensor, model44, paper_capacity):
-    return gomcds(lu8_tensor, model44, paper_capacity)
+    return schedule(lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity)
 
 
 class TestEmptyPlanIdentity:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import gomcds, replicated_scds
+import repro
+from repro.core import replicated_scds
 from repro.faults import (
     FaultConfigError,
     FaultDetector,
@@ -21,7 +22,7 @@ from repro.sim import replay_schedule
 @pytest.fixture
 def run(drift, model44):
     tensor = drift.reference_tensor()
-    schedule = gomcds(tensor, model44)
+    schedule = repro.schedule(tensor, model44, algorithm="gomcds")
     return drift.trace, schedule, model44, tensor
 
 

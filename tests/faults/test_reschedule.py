@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     alive_window_mask,
     evaluate_schedule,
-    gomcds,
     reschedule_around_faults,
     reschedule_from_window,
 )
@@ -16,7 +16,9 @@ from repro.sim import replay_schedule
 
 
 def test_empty_plan_reproduces_gomcds(lu8_tensor, model44, paper_capacity):
-    plain = gomcds(lu8_tensor, model44, paper_capacity)
+    plain = repro.schedule(
+        lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+    )
     faulted = reschedule_around_faults(
         lu8_tensor, model44, FaultPlan(), paper_capacity
     )
@@ -108,7 +110,9 @@ def test_rescheduling_beats_naive_replay(
     )
     naive = replay_schedule(
         lu8.trace,
-        gomcds(lu8_tensor, model44, paper_capacity),
+        repro.schedule(
+            lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+        ),
         model44,
         capacity=paper_capacity,
         faults=plan,
@@ -129,7 +133,11 @@ def test_rescheduled_analytic_cost_is_sane(lu8_tensor, model44, paper_capacity):
     # avoiding dead nodes can only cost more than the unconstrained optimum
     plan = FaultPlan(node_faults=(NodeFault(pid=5, start=0),))
     plain = evaluate_schedule(
-        gomcds(lu8_tensor, model44, paper_capacity), lu8_tensor, model44
+        repro.schedule(
+            lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+        ),
+        lu8_tensor,
+        model44,
     )
     faulted = evaluate_schedule(
         reschedule_around_faults(lu8_tensor, model44, plan, paper_capacity),
@@ -153,7 +161,7 @@ def test_method_tag_and_meta(lu8_tensor, model44):
 class TestRescheduleFromWindow:
     @pytest.fixture
     def mid_fault(self, lu8_tensor, model44):
-        schedule = gomcds(lu8_tensor, model44)
+        schedule = repro.schedule(lu8_tensor, model44, algorithm="gomcds")
         w = lu8_tensor.n_windows // 2
         victim = int(schedule.centers[0, w])
         plan = FaultPlan(node_faults=(NodeFault(victim, start=w),))
@@ -200,7 +208,7 @@ class TestRescheduleFromWindow:
         # pinning every datum onto pid 0 makes moving anywhere else cost
         # hops from pid 0, so the re-plan must charge (and may choose)
         # differently from the unpinned prefix continuation
-        schedule = gomcds(lu8_tensor, model44)
+        schedule = repro.schedule(lu8_tensor, model44, algorithm="gomcds")
         plan = FaultPlan(node_faults=(NodeFault(15, start=1),))
         pinned = np.zeros(lu8_tensor.n_data, dtype=np.int64)
         new = reschedule_from_window(
@@ -216,7 +224,7 @@ class TestRescheduleFromWindow:
     def test_from_window_zero_with_initial_placement(
         self, lu8_tensor, model44
     ):
-        schedule = gomcds(lu8_tensor, model44)
+        schedule = repro.schedule(lu8_tensor, model44, algorithm="gomcds")
         plan = FaultPlan(node_faults=(NodeFault(3, start=0),))
         new = reschedule_from_window(
             schedule, lu8_tensor, model44, plan, from_window=0
@@ -244,7 +252,7 @@ class TestRescheduleFromWindow:
             )
 
     def test_dead_suffix_window_raises_flt004(self, lu8_tensor, model44):
-        schedule = gomcds(lu8_tensor, model44)
+        schedule = repro.schedule(lu8_tensor, model44, algorithm="gomcds")
         plan = FaultPlan(
             node_faults=tuple(NodeFault(pid=p, start=3, end=4) for p in range(16))
         )
@@ -257,7 +265,9 @@ class TestRescheduleFromWindow:
     def test_capacity_respected_on_suffix(
         self, lu8_tensor, model44, paper_capacity
     ):
-        schedule = gomcds(lu8_tensor, model44, paper_capacity)
+        schedule = repro.schedule(
+            lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+        )
         plan = FaultPlan(node_faults=(NodeFault(5, start=1),))
         new = reschedule_from_window(
             schedule, lu8_tensor, model44, plan, from_window=1,

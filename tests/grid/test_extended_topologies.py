@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, gomcds, evaluate_schedule, scds
+import repro
+from repro.core import CostModel, evaluate_schedule
 from repro.grid import Mesh2D, Mesh3D, WeightedMesh2D, XYRouter
 
 
@@ -42,8 +43,12 @@ class TestMesh3D:
         trace, windows = trace_from_counts(counts, topo)
         tensor = build_reference_tensor(trace, windows)
         model = CostModel(topo)
-        go = evaluate_schedule(gomcds(tensor, model), tensor, model).total
-        sc = evaluate_schedule(scds(tensor, model), tensor, model).total
+        go = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
+        sc = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="scds"), tensor, model
+        ).total
         assert go <= sc
 
     def test_validation(self):
@@ -79,7 +84,7 @@ class TestWeightedMesh2D:
         counts[0, 0, topo.pid(0, 2)] = 3
         trace, windows = trace_from_counts(counts, topo)
         tensor = build_reference_tensor(trace, windows)
-        schedule = scds(tensor, CostModel(topo))
+        schedule = repro.schedule(tensor, CostModel(topo), algorithm="scds")
         # heavy weighting of rows pins the center onto row 0
         assert topo.coords(int(schedule.centers[0, 0]))[0] == 0
 

@@ -7,8 +7,9 @@ the suite stays fast; the full-size numbers come from the bench harness.
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import run_table1, run_table2
-from repro.core import CostModel, evaluate_schedule, gomcds, grouped_schedule, lomcds, scds
+from repro.core import CostModel, evaluate_schedule, grouped_schedule
 from repro.distrib import baseline_schedule
 from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
@@ -94,7 +95,9 @@ class TestTable2Claims:
             wl = benchmark(bench, 8, topo)
             tensor = wl.reference_tensor()
             model = CostModel(topo)
-            plain = evaluate_schedule(lomcds(tensor, model), tensor, model).total
+            plain = evaluate_schedule(
+                repro.schedule(tensor, model, algorithm="lomcds"), tensor, model
+            ).total
             grouped = evaluate_schedule(
                 grouped_schedule(tensor, model, center_method="local"),
                 tensor,
@@ -114,11 +117,14 @@ class TestFullStackConsistency:
         tensor = wl.reference_tensor()
         model = CostModel(topo)
         cap = CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
-        for scheduler in (scds, lomcds, gomcds, grouped_schedule):
-            schedule = scheduler(tensor, model, cap)
+        schedules = [
+            repro.schedule(tensor, model, algorithm=name, capacity=cap)
+            for name in ("scds", "lomcds", "gomcds")
+        ] + [grouped_schedule(tensor, model, cap)]
+        for schedule in schedules:
             analytic = evaluate_schedule(schedule, tensor, model)
             report = replay_schedule(wl.trace, schedule, model, capacity=cap)
-            assert report.matches(analytic), scheduler.__name__
+            assert report.matches(analytic), schedule.method
 
     def test_baseline_replay_matches(self):
         topo = Mesh2D(4, 4)
@@ -138,7 +144,7 @@ class TestFullStackConsistency:
         tensor = wl.reference_tensor()
         model = CostModel(topo)
         tight = CapacityPlan.paper_rule(wl.n_data, topo.n_procs, multiplier=1.0)
-        schedule = gomcds(tensor, model, capacity=tight)
+        schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=tight)
         occ = schedule.occupancy(topo.n_procs)
         assert (occ <= tight.capacities[None, :]).all()
         assert occ.max() == tight.capacities.max()  # the constraint binds

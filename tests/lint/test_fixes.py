@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import CostModel, gomcds
+from repro import schedule
+from repro.core import CostModel
 from repro.diagnostics import FLT002, FLT007, TRC003, Diagnostic, Severity
 from repro.faults import FaultPlan, NodeFault, RecoveryPolicy
 from repro.grid import Mesh2D
@@ -37,7 +38,9 @@ def _empty_window_context(mesh, with_schedule=False):
     context = LintContext(trace=trace, windows=windows, topology=mesh)
     if with_schedule:
         tensor = build_reference_tensor(trace, windows)
-        context.schedule = gomcds(tensor, CostModel(mesh), None)
+        context.schedule = schedule(
+            tensor, CostModel(mesh), algorithm="gomcds", capacity=None
+        )
     return context
 
 

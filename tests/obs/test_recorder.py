@@ -177,7 +177,9 @@ def test_provenance_solves_flight_record():
 
     class Model:
         distances = np.zeros((2, 2))
-        volumes = None
+
+        def volume_column(self, n_data):
+            return np.ones(n_data)
 
     ring = flight_recorder()
     watermark = ring.next_seq

@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro
 from repro.core import (
     CostModel,
     evaluate_replicated,
     evaluate_schedule,
-    gomcds,
     omcds,
     refine_schedule,
     replicated_scds,
-    scds,
 )
 from repro.grid import Mesh1D, Mesh2D, Mesh3D, WeightedMesh2D
 from repro.mem import CapacityPlan
@@ -54,7 +53,7 @@ def test_refinement_never_degrades_and_respects_capacity(case):
     tensor, _trace, model = case
     cap_value = -(-tensor.n_data // model.n_procs) + 1
     plan = CapacityPlan.uniform(model.n_procs, cap_value)
-    schedule = gomcds(tensor, model, plan)
+    schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=plan)
     result = refine_schedule(schedule, tensor, model, plan)
     assert result.final_cost <= result.initial_cost + 1e-9
     occ = result.schedule.occupancy(model.n_procs)
@@ -69,7 +68,9 @@ def test_refinement_never_degrades_and_respects_capacity(case):
 @settings(max_examples=50, deadline=None)
 def test_refined_schedule_replays_exactly(case):
     tensor, trace, model = case
-    result = refine_schedule(scds(tensor, model), tensor, model)
+    result = refine_schedule(
+        repro.schedule(tensor, model, algorithm="scds"), tensor, model
+    )
     analytic = evaluate_schedule(result.schedule, tensor, model)
     assert replay_schedule(trace, result.schedule, model).matches(analytic)
 
@@ -78,7 +79,9 @@ def test_refined_schedule_replays_exactly(case):
 @settings(max_examples=50, deadline=None)
 def test_online_never_beats_offline(case, hysteresis):
     tensor, _trace, model = case
-    offline = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+    offline = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
     online = evaluate_schedule(
         omcds(tensor, model, hysteresis=hysteresis), tensor, model
     ).total
@@ -98,7 +101,9 @@ def test_online_replays_exactly(case):
 @settings(max_examples=50, deadline=None)
 def test_replication_k1_equals_scds_and_k_monotone(case):
     tensor, _trace, model = case
-    static_cost = evaluate_schedule(scds(tensor, model), tensor, model).total
+    static_cost = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="scds"), tensor, model
+    ).total
     costs = []
     for k in (1, 2, 3):
         placement = replicated_scds(tensor, model, k)
@@ -132,8 +137,8 @@ def test_weighted_and_3d_replay_agreement(case):
     """Evaluator == replay on every topology, including weighted meshes
     (where hop count != metric) and 3-D meshes."""
     tensor, trace, model = case
-    for scheduler in (scds, gomcds):
-        schedule = scheduler(tensor, model)
+    for algorithm in ("scds", "gomcds"):
+        schedule = repro.schedule(tensor, model, algorithm=algorithm)
         analytic = evaluate_schedule(schedule, tensor, model)
         assert replay_schedule(trace, schedule, model).matches(analytic)
 
@@ -144,8 +149,12 @@ def test_budgeted_interpolates_scds_and_gomcds(case, budget):
     from repro.core import gomcds_budgeted
 
     tensor, _trace, model = case
-    static = evaluate_schedule(scds(tensor, model), tensor, model).total
-    free = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+    static = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="scds"), tensor, model
+    ).total
+    free = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
     budgeted = evaluate_schedule(
         gomcds_budgeted(tensor, model, budget), tensor, model
     ).total
@@ -167,13 +176,17 @@ def test_optimal_static_never_beaten_by_any_static(case):
     free_opt = evaluate_schedule(
         optimal_static_placement(tensor, model), tensor, model
     ).total
-    free_greedy = evaluate_schedule(scds(tensor, model), tensor, model).total
+    free_greedy = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="scds"), tensor, model
+    ).total
     assert free_opt == pytest.approx(free_greedy)
     plan = CapacityPlan.uniform(model.n_procs, -(-tensor.n_data // model.n_procs))
     bound_opt = evaluate_schedule(
         optimal_static_placement(tensor, model, plan), tensor, model
     ).total
-    bound_greedy = evaluate_schedule(scds(tensor, model, plan), tensor, model).total
+    bound_greedy = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="scds", capacity=plan), tensor, model
+    ).total
     assert bound_opt <= bound_greedy + 1e-9
     occ = optimal_static_placement(tensor, model, plan).occupancy(model.n_procs)
     assert (occ <= plan.capacities[None, :]).all()

@@ -14,7 +14,8 @@ semantics:
 import numpy as np
 import pytest
 
-from repro.core import evaluate_schedule, gomcds, scds
+import repro
+from repro.core import evaluate_schedule
 from repro.faults import FaultPlan, NodeFault, plan_evacuation
 from repro.grid import FaultAwareRouter, Mesh2D, XYRouter
 from repro.sim import replay_schedule
@@ -23,11 +24,13 @@ from repro.sim import replay_schedule
 # -- property 1: zero faults == analytic cost ---------------------------------
 
 
-@pytest.mark.parametrize("scheduler", [scds, gomcds])
+@pytest.mark.parametrize("algorithm", ["scds", "gomcds"])
 def test_zero_fault_plan_reproduces_analytic_cost(
-    scheduler, lu8, lu8_tensor, model44, paper_capacity
+    algorithm, lu8, lu8_tensor, model44, paper_capacity
 ):
-    schedule = scheduler(lu8_tensor, model44, paper_capacity)
+    schedule = repro.schedule(
+        lu8_tensor, model44, algorithm=algorithm, capacity=paper_capacity
+    )
     analytic = evaluate_schedule(schedule, lu8_tensor, model44)
     report = replay_schedule(
         lu8.trace, schedule, model44,
@@ -43,7 +46,9 @@ def test_zero_fault_plan_bit_identical_to_no_plan(
     drift, model44, paper_capacity
 ):
     tensor = drift.reference_tensor()
-    schedule = gomcds(tensor, model44, paper_capacity)
+    schedule = repro.schedule(
+        tensor, model44, algorithm="gomcds", capacity=paper_capacity
+    )
     a = replay_schedule(
         drift.trace, schedule, model44,
         capacity=paper_capacity, track_links=True,
@@ -110,7 +115,9 @@ def test_replayed_evacuation_respects_capacity(
         node_faults=(NodeFault(pid=5, start=1), NodeFault(pid=6, start=2)),
         seed=3,
     )
-    schedule = gomcds(lu8_tensor, model44, paper_capacity)
+    schedule = repro.schedule(
+        lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+    )
     report = replay_schedule(
         lu8.trace, schedule, model44, capacity=paper_capacity, faults=plan
     )

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import CostModel, Schedule, gomcds, lomcds, scds
+import repro
+from repro.core import CostModel, Schedule
 from repro.diagnostics import Severity
 from repro.grid import Mesh1D, Mesh2D
 from repro.lint import LintContext, run_lint
@@ -36,11 +37,13 @@ def bundles(draw, max_data=5, max_windows=4):
     trace, windows = trace_from_counts(counts, topo)
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
-    scheduler = draw(st.sampled_from([scds, lomcds, gomcds]))
+    algorithm = draw(st.sampled_from(["scds", "lomcds", "gomcds"]))
     capacity = CapacityPlan.uniform(
         topo.n_procs, -(-n_data // topo.n_procs) * 2
     )
-    schedule = scheduler(tensor, model, capacity)
+    schedule = repro.schedule(
+        tensor, model, algorithm=algorithm, capacity=capacity
+    )
     return LintContext(
         schedule=schedule,
         trace=trace,

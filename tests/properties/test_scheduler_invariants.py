@@ -10,14 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import (
-    CostModel,
-    evaluate_schedule,
-    gomcds,
-    grouped_schedule,
-    lomcds,
-    scds,
-)
+import repro
+from repro.core import CostModel, evaluate_schedule, grouped_schedule
 from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityPlan
 from repro.sim import replay_schedule
@@ -44,14 +38,23 @@ def tensors(draw, max_data=5, max_windows=5):
     return tensor, trace, CostModel(topo)
 
 
+def _solve(name, tensor, model, capacity=None):
+    """One schedule by algorithm name; ``"grouped"`` is window grouping."""
+    if name == "grouped":
+        return grouped_schedule(tensor, model, capacity)
+    return repro.schedule(tensor, model, algorithm=name, capacity=capacity)
+
+
 @given(tensors())
 @settings(max_examples=60, deadline=None)
 def test_gomcds_optimal_among_all(case):
     """Unconstrained GOMCDS is never beaten by SCDS, LOMCDS or grouping."""
     tensor, _trace, model = case
-    best = evaluate_schedule(gomcds(tensor, model), tensor, model).total
-    for other in (scds, lomcds, grouped_schedule):
-        cost = evaluate_schedule(other(tensor, model), tensor, model).total
+    best = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
+    for other in ("scds", "lomcds", "grouped"):
+        cost = evaluate_schedule(_solve(other, tensor, model), tensor, model).total
         assert best <= cost + 1e-9
 
 
@@ -60,7 +63,7 @@ def test_gomcds_optimal_among_all(case):
 def test_scds_optimal_among_static(case):
     """SCDS minimizes cost over *static* placements (per datum)."""
     tensor, _trace, model = case
-    sched = scds(tensor, model)
+    sched = repro.schedule(tensor, model, algorithm="scds")
     totals = model.all_placement_costs(tensor).sum(axis=1)  # (D, m)
     for d in range(tensor.n_data):
         assert totals[d, sched.centers[d, 0]] == totals[d].min()
@@ -71,8 +74,8 @@ def test_scds_optimal_among_static(case):
 def test_replay_equals_analytic(case):
     """The hop-level replay reproduces the analytic objective exactly."""
     tensor, trace, model = case
-    for scheduler in (scds, lomcds, gomcds):
-        schedule = scheduler(tensor, model)
+    for name in ("scds", "lomcds", "gomcds"):
+        schedule = _solve(name, tensor, model)
         analytic = evaluate_schedule(schedule, tensor, model)
         report = replay_schedule(trace, schedule, model)
         assert report.matches(analytic)
@@ -82,7 +85,7 @@ def test_replay_equals_analytic(case):
 @settings(max_examples=40, deadline=None)
 def test_link_traffic_accounts_every_hop(case):
     tensor, trace, model = case
-    schedule = lomcds(tensor, model)
+    schedule = repro.schedule(tensor, model, algorithm="lomcds")
     report = replay_schedule(trace, schedule, model, track_links=True)
     assert report.total_link_traffic == pytest.approx(report.total_cost)
 
@@ -95,8 +98,8 @@ def test_capacity_always_respected(case, cap_value):
     if cap_value * model.n_procs < total_needed:
         cap_value = -(-total_needed // model.n_procs)  # make it feasible
     plan = CapacityPlan.uniform(model.n_procs, cap_value)
-    for scheduler in (scds, lomcds, gomcds, grouped_schedule):
-        schedule = scheduler(tensor, model, plan)
+    for name in ("scds", "lomcds", "gomcds", "grouped"):
+        schedule = _solve(name, tensor, model, plan)
         occ = schedule.occupancy(model.n_procs)
         assert (occ <= plan.capacities[None, :]).all()
 
@@ -106,8 +109,12 @@ def test_capacity_always_respected(case, cap_value):
 def test_constrained_never_beats_unconstrained(case):
     tensor, _trace, model = case
     plan = CapacityPlan.uniform(model.n_procs, -(-tensor.n_data // model.n_procs))
-    free = evaluate_schedule(gomcds(tensor, model), tensor, model).total
-    bound = evaluate_schedule(gomcds(tensor, model, plan), tensor, model).total
+    free = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+    ).total
+    bound = evaluate_schedule(
+        repro.schedule(tensor, model, algorithm="gomcds", capacity=plan), tensor, model
+    ).total
     assert free <= bound + 1e-9
 
 
@@ -115,9 +122,9 @@ def test_constrained_never_beats_unconstrained(case):
 @settings(max_examples=60, deadline=None)
 def test_schedules_are_deterministic(case):
     tensor, _trace, model = case
-    for scheduler in (scds, lomcds, gomcds, grouped_schedule):
-        a = scheduler(tensor, model)
-        b = scheduler(tensor, model)
+    for name in ("scds", "lomcds", "gomcds", "grouped"):
+        a = _solve(name, tensor, model)
+        b = _solve(name, tensor, model)
         assert np.array_equal(a.centers, b.centers)
 
 

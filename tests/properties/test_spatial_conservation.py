@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import CostModel, evaluate_schedule, gomcds, scds
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule
 from repro.grid import Mesh1D, Mesh2D, Torus2D
 from repro.obs import Instrumentation
 from repro.sim import replay_schedule
@@ -37,15 +38,15 @@ def replay_cases(draw, max_data=5, max_windows=4):
     )
     trace, windows = trace_from_counts(counts, topo)
     tensor = build_reference_tensor(trace, windows)
-    scheduler = draw(st.sampled_from([scds, gomcds]))
-    return tensor, trace, CostModel(topo), scheduler
+    algorithm = draw(st.sampled_from(["scds", "gomcds"]))
+    return tensor, trace, CostModel(topo), algorithm
 
 
 @given(replay_cases())
 @settings(max_examples=50, deadline=None)
 def test_link_traffic_conserves_hop_volume(case):
-    tensor, trace, model, scheduler = case
-    sched = scheduler(tensor, model)
+    tensor, trace, model, algorithm = case
+    sched = schedule(tensor, model, algorithm=algorithm)
     breakdown = evaluate_schedule(sched, tensor, model)
     instr = Instrumentation.started(spatial=True)
     report = replay_schedule(trace, sched, model, instrument=instr)
@@ -62,8 +63,8 @@ def test_link_traffic_conserves_hop_volume(case):
 @given(replay_cases())
 @settings(max_examples=50, deadline=None)
 def test_spatial_totals_equal_tracked_links(case):
-    tensor, trace, model, scheduler = case
-    sched = scheduler(tensor, model)
+    tensor, trace, model, algorithm = case
+    sched = schedule(tensor, model, algorithm=algorithm)
     instr = Instrumentation.started(spatial=True)
     report = replay_schedule(
         trace, sched, model, track_links=True, instrument=instr

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import CostModel, Schedule, evaluate_schedule, per_datum_costs, scds
+import repro
+from repro.core import CostModel, Schedule, evaluate_schedule, per_datum_costs
 from repro.grid import Mesh2D
 from repro.trace import (
     build_reference_tensor,
@@ -52,7 +53,7 @@ def test_scds_cost_is_window_partition_invariant(case):
     axis is windowed (no movement, additive references)."""
     tensor, trace = case
     model = CostModel(TOPO)
-    schedule = scds(tensor, model)
+    schedule = repro.schedule(tensor, model, algorithm="scds")
     fine_cost = evaluate_schedule(schedule, tensor, model).total
     merged = build_reference_tensor(trace, single_window(trace.n_steps))
     static = Schedule.static(schedule.initial_placement(), merged.windows)

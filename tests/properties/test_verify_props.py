@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import CostModel, Schedule, gomcds
+import repro
+from repro.core import CostModel, Schedule
 from repro.diagnostics import VER007, Severity
 from repro.grid import Mesh1D, Mesh2D
 from repro.obs import Instrumentation
@@ -106,7 +107,9 @@ def test_perturbed_center_sequence_always_fails_certification(bundle):
     assume(windows.n_windows == counts.shape[1])
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
-    schedule = gomcds(tensor, model, None, certify=True)
+    schedule = repro.schedule(
+        tensor, model, algorithm="gomcds", capacity=None, certify=True
+    )
 
     # the pristine certificate verifies
     assert check_certificate(schedule, tensor, model) == []

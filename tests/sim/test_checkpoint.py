@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import gomcds
+import repro
 from repro.faults import FaultPlan, NodeFault
 from repro.sim import ReplayCursor, replay_schedule
 
@@ -11,7 +11,7 @@ from repro.sim import ReplayCursor, replay_schedule
 @pytest.fixture
 def run(drift, model44):
     tensor = drift.reference_tensor()
-    schedule = gomcds(tensor, model44)
+    schedule = repro.schedule(tensor, model44, algorithm="gomcds")
     return drift.trace, schedule, model44
 
 
@@ -121,7 +121,7 @@ class TestCheckpointing:
 class TestRebind:
     def test_rebind_rejects_horizon_change(self, run, model44, lu8, lu8_tensor):
         trace, schedule, model = run
-        other = gomcds(lu8_tensor, model44)
+        other = repro.schedule(lu8_tensor, model44, algorithm="gomcds")
         cursor = ReplayCursor(trace, schedule, model)
         with pytest.raises(ValueError):
             cursor.rebind(schedule=other)

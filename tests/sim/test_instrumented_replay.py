@@ -5,7 +5,7 @@ report's own accounting."""
 import numpy as np
 import pytest
 
-from repro.core import gomcds
+from repro import schedule
 from repro.faults import FaultPlan, NodeFault
 from repro.obs import Instrumentation
 from repro.sim import replay_schedule
@@ -13,7 +13,7 @@ from repro.sim import replay_schedule
 
 @pytest.fixture
 def lu_schedule(lu8_tensor, model44, paper_capacity):
-    return gomcds(lu8_tensor, model44, paper_capacity)
+    return schedule(lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity)
 
 
 def test_fault_free_replay_bit_identical_with_tracing(
@@ -77,7 +77,7 @@ def test_window_metrics_agree_with_report(lu8, lu_schedule, model44):
 def test_replay_matches_analytic_with_tracing(lu8, lu8_tensor, model44):
     from repro.core import evaluate_schedule
 
-    sched = gomcds(lu8_tensor, model44)
+    sched = schedule(lu8_tensor, model44, algorithm="gomcds")
     breakdown = evaluate_schedule(sched, lu8_tensor, model44)
     report = replay_schedule(
         lu8.trace, sched, model44, instrument=Instrumentation.started()

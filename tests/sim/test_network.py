@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Schedule, gomcds, scds
+import repro
+from repro.core import CostModel, Schedule
 from repro.grid import Mesh1D, Mesh2D, XYRouter
 from repro.sim import (
     estimate_execution_time,
@@ -65,8 +66,8 @@ class TestBoundConsistency:
         measured per-window drain time."""
         for seed in (101, 202, 303):
             trace, tensor, model = self._instance(seed)
-            for scheduler in (scds, gomcds):
-                schedule = scheduler(tensor, model)
+            for algorithm in ("scds", "gomcds"):
+                schedule = repro.schedule(tensor, model, algorithm=algorithm)
                 bound = estimate_execution_time(trace, schedule, model)
                 measured = simulate_schedule_network(trace, schedule, model)
                 assert np.all(
@@ -78,7 +79,7 @@ class TestBoundConsistency:
 
     def test_packets_match_remote_volume(self):
         trace, tensor, model = self._instance()
-        schedule = scds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="scds")
         report = simulate_schedule_network(trace, schedule, model)
         # every remote reference contributes exactly its count in packets
         centers = schedule.centers[trace.data, 0]
@@ -96,7 +97,9 @@ class TestBoundConsistency:
 
     def test_static_schedule_has_no_move_cycles(self):
         trace, tensor, model = self._instance()
-        report = simulate_schedule_network(trace, scds(tensor, model), model)
+        report = simulate_schedule_network(
+            trace, repro.schedule(tensor, model, algorithm="scds"), model
+        )
         assert report.move_cycles.sum() == 0
 
     def test_window_span_checked(self):

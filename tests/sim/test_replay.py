@@ -3,25 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    CostModel,
-    Schedule,
-    evaluate_schedule,
-    gomcds,
-    grouped_schedule,
-    lomcds,
-    scds,
-)
+import repro
+from repro.core import CostModel, Schedule, evaluate_schedule, grouped_schedule
 from repro.distrib import baseline_schedule
 from repro.mem import CapacityError, CapacityPlan
 from repro.sim import replay_schedule
 
 
 class TestAgreementWithAnalyticModel:
-    @pytest.mark.parametrize("scheduler", [scds, lomcds, gomcds, grouped_schedule])
-    def test_exact_agreement(self, lu8, lu8_tensor, mesh44, scheduler):
+    @pytest.mark.parametrize(
+        "algorithm", ["scds", "lomcds", "gomcds", "grouped_schedule"]
+    )
+    def test_exact_agreement(self, lu8, lu8_tensor, mesh44, algorithm):
         model = CostModel(mesh44)
-        schedule = scheduler(lu8_tensor, model)
+        if algorithm == "grouped_schedule":
+            schedule = grouped_schedule(lu8_tensor, model)
+        else:
+            schedule = repro.schedule(lu8_tensor, model, algorithm=algorithm)
         analytic = evaluate_schedule(schedule, lu8_tensor, model)
         report = replay_schedule(lu8.trace, schedule, model)
         assert report.matches(analytic)
@@ -38,7 +36,7 @@ class TestAgreementWithAnalyticModel:
         rng = np.random.default_rng(0)
         tensor = drift.reference_tensor()
         model = CostModel(mesh44, volumes=rng.uniform(0.5, 3.0, tensor.n_data))
-        schedule = gomcds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="gomcds")
         analytic = evaluate_schedule(schedule, tensor, model)
         report = replay_schedule(drift.trace, schedule, model)
         assert report.matches(analytic)
@@ -46,7 +44,7 @@ class TestAgreementWithAnalyticModel:
     def test_per_window_costs_sum_to_total(self, drift, mesh44):
         model = CostModel(mesh44)
         tensor = drift.reference_tensor()
-        schedule = lomcds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="lomcds")
         report = replay_schedule(drift.trace, schedule, model)
         assert report.per_window_cost.sum() == pytest.approx(report.total_cost)
 
@@ -57,16 +55,15 @@ class TestLinkTracking:
         # must equal the hop x volume objective exactly
         model = CostModel(mesh44)
         tensor = drift.reference_tensor()
-        schedule = gomcds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="gomcds")
         report = replay_schedule(drift.trace, schedule, model, track_links=True)
         assert report.total_link_traffic == pytest.approx(report.total_cost)
 
     def test_links_are_mesh_edges(self, drift, mesh44):
         model = CostModel(mesh44)
         tensor = drift.reference_tensor()
-        report = replay_schedule(
-            drift.trace, lomcds(tensor, model), model, track_links=True
-        )
+        schedule = repro.schedule(tensor, model, algorithm="lomcds")
+        report = replay_schedule(drift.trace, schedule, model, track_links=True)
         for a, b in report.link_traffic:
             assert mesh44.distance(a, b) == 1
 
@@ -84,19 +81,23 @@ class TestCounters:
     def test_local_fetches_counted(self, drift, mesh44):
         model = CostModel(mesh44)
         tensor = drift.reference_tensor()
-        report = replay_schedule(drift.trace, gomcds(tensor, model), model)
+        report = replay_schedule(
+            drift.trace, repro.schedule(tensor, model, algorithm="gomcds"), model
+        )
         assert 0 < report.n_local_fetches <= report.n_fetches
 
     def test_moves_counted(self, drift, mesh44):
         model = CostModel(mesh44)
         tensor = drift.reference_tensor()
-        schedule = lomcds(tensor, model)
+        schedule = repro.schedule(tensor, model, algorithm="lomcds")
         report = replay_schedule(drift.trace, schedule, model)
         assert report.n_moves == schedule.n_movements()
 
     def test_static_schedule_never_moves(self, lu8, lu8_tensor, mesh44):
         model = CostModel(mesh44)
-        report = replay_schedule(lu8.trace, scds(lu8_tensor, model), model)
+        report = replay_schedule(
+            lu8.trace, repro.schedule(lu8_tensor, model, algorithm="scds"), model
+        )
         assert report.n_moves == 0
         assert report.movement_cost == 0.0
 
@@ -104,7 +105,9 @@ class TestCounters:
 class TestCapacityEnforcement:
     def test_valid_schedule_passes(self, lu8, lu8_tensor, mesh44, paper_capacity):
         model = CostModel(mesh44)
-        schedule = gomcds(lu8_tensor, model, capacity=paper_capacity)
+        schedule = repro.schedule(
+            lu8_tensor, model, algorithm="gomcds", capacity=paper_capacity
+        )
         replay_schedule(lu8.trace, schedule, model, capacity=paper_capacity)
 
     def test_overcommitted_schedule_caught(self, lu8, lu8_tensor, mesh44):

@@ -9,7 +9,8 @@ unit of link volume, so total link volume == total hop x volume cost.
 import numpy as np
 import pytest
 
-from repro.core import CostModel, evaluate_schedule, gomcds
+from repro import schedule
+from repro.core import CostModel, evaluate_schedule
 from repro.faults import FaultPlan, NodeFault
 from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
@@ -20,7 +21,7 @@ from repro.workloads import benchmark as make_benchmark
 
 def spatial_replay(workload, model, capacity=None):
     tensor = workload.reference_tensor()
-    sched = gomcds(tensor, model, capacity)
+    sched = schedule(tensor, model, algorithm="gomcds", capacity=capacity)
     breakdown = evaluate_schedule(sched, tensor, model)
     instr = Instrumentation.started(spatial=True)
     report = replay_schedule(
@@ -53,7 +54,7 @@ def test_per_window_series_recorded(lu8, mesh44):
 def test_spatial_matches_track_links_accounting(lu8, model44, paper_capacity):
     """The recorder's totals are exactly the track_links link traffic."""
     tensor = lu8.reference_tensor()
-    sched = gomcds(tensor, model44, paper_capacity)
+    sched = schedule(tensor, model44, algorithm="gomcds", capacity=paper_capacity)
     instr = Instrumentation.started(spatial=True)
     report = replay_schedule(
         lu8.trace, sched, model44,
@@ -67,7 +68,7 @@ def test_replay_bit_identical_with_spatial_recording(
     lu8, model44, paper_capacity
 ):
     tensor = lu8.reference_tensor()
-    sched = gomcds(tensor, model44, paper_capacity)
+    sched = schedule(tensor, model44, algorithm="gomcds", capacity=paper_capacity)
     plain = replay_schedule(
         lu8.trace, sched, model44, capacity=paper_capacity
     )
@@ -79,7 +80,7 @@ def test_replay_bit_identical_with_spatial_recording(
 
 
 def test_plain_sessions_record_no_spatial_traces(lu8, model44):
-    sched = gomcds(lu8.reference_tensor(), model44)
+    sched = schedule(lu8.reference_tensor(), model44, algorithm="gomcds")
     instr = Instrumentation.started()  # spatial not requested
     replay_schedule(lu8.trace, sched, model44, instrument=instr)
     assert len(instr.spatial.traces) == 0
@@ -88,7 +89,9 @@ def test_plain_sessions_record_no_spatial_traces(lu8, model44):
 def test_faulted_replay_records_spatial_and_stays_identical(
     lu8, model44, paper_capacity
 ):
-    sched = gomcds(lu8.reference_tensor(), model44, paper_capacity)
+    sched = schedule(
+        lu8.reference_tensor(), model44, algorithm="gomcds", capacity=paper_capacity
+    )
     plan = FaultPlan(node_faults=(NodeFault(pid=5, start=1),))
     plain = replay_schedule(
         lu8.trace, sched, model44,
@@ -117,7 +120,7 @@ def test_volumes_weight_link_traffic(mesh44):
 
 
 def test_network_simulation_records_spatial(lu8, model44):
-    sched = gomcds(lu8.reference_tensor(), model44)
+    sched = schedule(lu8.reference_tensor(), model44, algorithm="gomcds")
     instr = Instrumentation.started(spatial=True)
     plain = simulate_schedule_network(lu8.trace, sched, model44)
     traced = simulate_schedule_network(
@@ -135,7 +138,7 @@ def test_network_simulation_records_spatial(lu8, model44):
 def test_report_topology_shape_round_trips(lu8, model44):
     from repro.sim import SimReport
 
-    sched = gomcds(lu8.reference_tensor(), model44)
+    sched = schedule(lu8.reference_tensor(), model44, algorithm="gomcds")
     report = replay_schedule(lu8.trace, sched, model44, track_links=True)
     assert report.topology_shape == (4, 4)
     serialized = report.to_dict()["link_traffic"]

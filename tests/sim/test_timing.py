@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, Schedule, gomcds, scds
+from repro import schedule
+from repro.core import CostModel, Schedule
 from repro.distrib import baseline_schedule
 from repro.grid import Mesh1D
 from repro.sim import TimingModel, estimate_execution_time
@@ -75,7 +76,7 @@ class TestComparative:
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
         good = estimate_execution_time(
-            drift.trace, gomcds(tensor, model), model
+            drift.trace, schedule(tensor, model, algorithm="gomcds"), model
         )
         bad = estimate_execution_time(
             drift.trace, baseline_schedule(drift, "random"), model
@@ -86,7 +87,7 @@ class TestComparative:
     def test_comm_fraction_in_unit_range(self, lu8, lu8_tensor, mesh44):
         model = CostModel(mesh44)
         report = estimate_execution_time(
-            lu8.trace, scds(lu8_tensor, model), model
+            lu8.trace, schedule(lu8_tensor, model, algorithm="scds"), model
         )
         assert 0.0 <= report.comm_fraction < 1.0
         assert report.per_window_total.shape == (lu8_tensor.n_windows,)

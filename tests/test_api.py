@@ -13,11 +13,7 @@ from repro.core import (
     SCHEDULERS,
     SchedulerSpec,
     evaluate_schedule,
-    get_scheduler,
-    gomcds,
-    lomcds,
     omcds,
-    scds,
     scheduler_spec,
 )
 from repro.mem import CapacityPlan
@@ -32,18 +28,18 @@ def test_facade_is_re_exported_from_package_root():
 def test_default_algorithm_is_gomcds(lu8_tensor, model44):
     assert np.array_equal(
         schedule(lu8_tensor, model44).centers,
-        gomcds(lu8_tensor, model44).centers,
+        SCHEDULERS["GOMCDS"](lu8_tensor, model44).centers,
     )
 
 
 @pytest.mark.parametrize(
-    ("name", "func"),
-    [("scds", scds), ("LOMCDS", lomcds), ("GoMcDs", gomcds)],
+    ("name", "raw"),
+    [("scds", "scds"), ("LOMCDS", "lomcds"), ("GoMcDs", "gomcds")],
 )
-def test_facade_matches_direct_call(name, func, lu8_tensor, model44, lu8):
+def test_facade_matches_direct_call(name, raw, lu8_tensor, model44, lu8):
     cap = CapacityPlan.paper_rule(lu8.n_data, 16)
     via_facade = schedule(lu8_tensor, model44, algorithm=name, capacity=cap)
-    direct = func(lu8_tensor, model44, capacity=cap)
+    direct = SCHEDULERS[raw.upper()](lu8_tensor, model44, capacity=cap)
     assert np.array_equal(via_facade.centers, direct.centers)
 
 
@@ -84,10 +80,10 @@ def test_specs_are_frozen():
         SCHEDULER_SPECS["GOMCDS"].name = "other"
 
 
-def test_get_scheduler_returns_uniform_callable(lu8_tensor, model44):
-    spec = get_scheduler("gomcds")
+def test_scheduler_spec_returns_uniform_callable(lu8_tensor, model44):
+    spec = scheduler_spec("gomcds")
     assert isinstance(spec, SchedulerSpec)
-    # old positional-capacity call shape still works
+    # positional-capacity call shape
     sched = spec(lu8_tensor, model44, None)
     assert sched.method == "GOMCDS"
 
@@ -177,21 +173,15 @@ def test_spec_reports_supported_kwargs():
         )
 
 
-# --- deprecated entry points ------------------------------------------------
+# --- removed entry points ---------------------------------------------------
 
 
-def test_direct_scheduler_calls_warn(lu8_tensor, model44):
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        scds(lu8_tensor, model44)
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        lomcds(lu8_tensor, model44)
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        gomcds(lu8_tensor, model44)
+def test_deprecated_entry_points_are_gone():
+    import repro.core
 
-
-def test_get_scheduler_warns():
-    with pytest.warns(DeprecationWarning, match="scheduler_spec"):
-        get_scheduler("gomcds")
+    for name in ("scds", "lomcds", "gomcds", "get_scheduler"):
+        assert not hasattr(repro, name)
+        assert not callable(getattr(repro.core, name, None))
 
 
 def test_facade_and_scheduler_spec_do_not_warn(lu8_tensor, model44):
@@ -203,6 +193,21 @@ def test_facade_and_scheduler_spec_do_not_warn(lu8_tensor, model44):
         scheduler_spec("GOMCDS")(lu8_tensor, model44)
 
 
-def test_deprecated_wrappers_expose_the_raw_scheduler():
-    assert scds.__wrapped_scheduler__ is SCHEDULERS["SCDS"]
-    assert SCHEDULER_SPECS["SCDS"].func is SCHEDULERS["SCDS"]
+def test_import_does_not_load_networkx():
+    """networkx is a test-only dependency (the cost-graph oracle)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert result.stdout.strip() == "False"

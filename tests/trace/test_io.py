@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, gomcds
+import repro
+from repro.core import CostModel
 from repro.trace import (
     load_schedule,
     load_trace,
@@ -42,7 +43,7 @@ def test_save_rejects_mismatched_windows(tmp_path, lu8):
 
 def test_schedule_roundtrip(tmp_path, lu8_tensor, mesh44):
     model = CostModel(mesh44)
-    schedule = gomcds(lu8_tensor, model)
+    schedule = repro.schedule(lu8_tensor, model, algorithm="gomcds")
     path = tmp_path / "sched.npz"
     save_schedule(path, schedule)
     loaded = load_schedule(path)
@@ -56,7 +57,7 @@ def test_loaded_schedule_evaluates_identically(tmp_path, lu8_tensor, mesh44):
     from repro.core import evaluate_schedule
 
     model = CostModel(mesh44)
-    schedule = gomcds(lu8_tensor, model)
+    schedule = repro.schedule(lu8_tensor, model, algorithm="gomcds")
     save_schedule(tmp_path / "s.npz", schedule)
     loaded = load_schedule(tmp_path / "s.npz")
     assert (

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import schedule
 from repro.trace import (
     TraceBuilder,
     segment_by_similarity,
@@ -123,7 +124,7 @@ class TestDPSegmentation:
 
 class TestSchedulingIntegration:
     def test_auto_windows_usable_by_schedulers(self, mesh44):
-        from repro.core import CostModel, evaluate_schedule, gomcds
+        from repro.core import CostModel, evaluate_schedule
         from repro.trace import build_reference_tensor
         from repro.workloads import code_workload
 
@@ -131,7 +132,9 @@ class TestSchedulingIntegration:
         windows = segment_by_similarity(wl.trace, threshold=0.6)
         tensor = build_reference_tensor(wl.trace, windows)
         model = CostModel(mesh44)
-        cost = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+        cost = evaluate_schedule(
+            schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
         assert cost > 0
 
 
@@ -154,7 +157,7 @@ class TestJointFeature:
         assert 4 in sighted.starts.tolist()
 
     def test_auto_windows_match_natural_gomcds_cost(self, mesh44):
-        from repro.core import CostModel, evaluate_schedule, gomcds
+        from repro.core import CostModel, evaluate_schedule
         from repro.trace import build_reference_tensor
         from repro.workloads import fft_workload
 
@@ -163,8 +166,12 @@ class TestJointFeature:
         natural = fft.reference_tensor()
         auto_windows = segment_by_similarity(fft.trace, threshold=0.7)
         auto = build_reference_tensor(fft.trace, auto_windows)
-        natural_cost = evaluate_schedule(gomcds(natural, model), natural, model).total
-        auto_cost = evaluate_schedule(gomcds(auto, model), auto, model).total
+        natural_cost = evaluate_schedule(
+            schedule(natural, model, algorithm="gomcds"), natural, model
+        ).total
+        auto_cost = evaluate_schedule(
+            schedule(auto, model, algorithm="gomcds"), auto, model
+        ).total
         # the sketch finds every boundary that matters for communication
         assert auto_cost <= natural_cost * 1.05
 

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import CostModel, evaluate_schedule, gomcds
+import repro
+from repro.core import CostModel, evaluate_schedule
 from repro.diagnostics import VER001, VER002, VER003, VER004, Severity
 from repro.faults import FaultPlan, NodeFault
 from repro.mem import CapacityPlan
@@ -22,7 +23,7 @@ def bench1(mesh44):
     tensor = wl.reference_tensor()
     model = CostModel(mesh44)
     capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
-    schedule = gomcds(tensor, model, capacity)
+    schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=capacity)
     return wl, tensor, model, capacity, schedule
 
 

@@ -7,12 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import (
-    CostModel,
-    gomcds,
-    reschedule_around_faults,
-    reschedule_from_window,
-)
+import repro
+from repro.core import CostModel, reschedule_around_faults, reschedule_from_window
 from repro.diagnostics import VER005, VER006, VER007, Severity
 from repro.faults import FaultPlan, NodeFault
 from repro.mem import CapacityPlan
@@ -26,7 +22,9 @@ def certified(mesh44):
     tensor = wl.reference_tensor()
     model = CostModel(mesh44)
     capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
-    schedule = gomcds(tensor, model, capacity, certify=True)
+    schedule = repro.schedule(
+        tensor, model, algorithm="gomcds", capacity=capacity, certify=True
+    )
     return tensor, model, capacity, schedule
 
 
@@ -44,7 +42,7 @@ def test_clean_certificate_verifies(certified):
 
 def test_uncertified_schedule_is_silent_unless_required(certified):
     tensor, model, capacity, _ = certified
-    plain = gomcds(tensor, model, capacity)
+    plain = repro.schedule(tensor, model, algorithm="gomcds", capacity=capacity)
     assert certificate_of(plain) is None
     assert check_certificate(plain, tensor, model) == []
     required = check_certificate(plain, tensor, model, require=True)
@@ -83,6 +81,16 @@ def test_malformed_certificate_is_ver005(certified):
     assert _codes(diags) == {VER005}
     garbage = dataclasses.replace(schedule, meta={"certificate": "yes"})
     assert _codes(check_certificate(garbage, tensor, model)) == {VER005}
+
+
+def test_certificate_version_is_checked(certified):
+    tensor, model, _, schedule = certified
+    assert certificate_of(schedule)["version"] == 2
+    stale = dataclasses.replace(schedule, meta=copy.deepcopy(schedule.meta))
+    stale.meta["certificate"]["version"] = 1  # volume-scaled potentials
+    diags = check_certificate(stale, tensor, model)
+    assert _codes(diags) == {VER005}
+    assert "version" in diags[0].message
 
 
 def test_faulted_certificates_verify(certified, mesh44):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.core import CostModel, gomcds
+from repro.core import CostModel
 from repro.diagnostics import DIVERGENCE_CODES, VERIFY_CODES
 from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
@@ -64,7 +65,7 @@ def test_file_mode_certifies_without_certificate(tmp_path, capsys):
     tensor = wl.reference_tensor()
     model = CostModel(mesh)
     capacity = CapacityPlan.paper_rule(wl.n_data, mesh.n_procs, 2.0)
-    schedule = gomcds(tensor, model, capacity)
+    schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=capacity)
     spath, tpath = tmp_path / "s.npz", tmp_path / "t.npz"
     save_schedule(spath, schedule)
     save_trace(tpath, wl.trace, wl.windows)
@@ -87,7 +88,9 @@ def test_corrupted_schedule_exits_divergence():
     tensor = wl.reference_tensor()
     model = CostModel(mesh)
     capacity = CapacityPlan.paper_rule(wl.n_data, mesh.n_procs, 2.0)
-    schedule = gomcds(tensor, model, capacity, certify=True)
+    schedule = repro.schedule(
+        tensor, model, algorithm="gomcds", capacity=capacity, certify=True
+    )
     centers = schedule.centers.copy()
     centers[0, 1] = (centers[0, 1] + 7) % mesh.n_procs
     bad = dataclasses.replace(schedule, centers=centers)
@@ -104,7 +107,7 @@ def test_static_error_exits_two():
     wl = benchmark(1, 8, mesh)
     tensor = wl.reference_tensor()
     model = CostModel(mesh)
-    schedule = gomcds(tensor, model, None)
+    schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=None)
     centers = schedule.centers.copy()
     centers[:, 0] = 0
     bad = dataclasses.replace(schedule, centers=centers, meta={})
@@ -121,6 +124,8 @@ def test_mismatched_trace_is_rejected():
     wl = benchmark(1, 8, mesh)
     other = benchmark(2, 8, mesh)
     model = CostModel(mesh)
-    schedule = gomcds(wl.reference_tensor(), model, None)
+    schedule = repro.schedule(
+        wl.reference_tensor(), model, algorithm="gomcds", capacity=None
+    )
     with pytest.raises(ValueError):
         certify_schedule(schedule, other.trace, model)

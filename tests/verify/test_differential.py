@@ -5,7 +5,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import CostModel, gomcds, reschedule_around_faults
+import repro
+from repro.core import CostModel, reschedule_around_faults
 from repro.diagnostics import VER008, VER009, VER010, Severity
 from repro.faults import FaultPlan, NodeFault
 from repro.mem import CapacityPlan
@@ -21,7 +22,7 @@ def _setup(bench, mesh, faults=None):
     if faults is not None:
         schedule = reschedule_around_faults(tensor, model, faults, capacity)
     else:
-        schedule = gomcds(tensor, model, capacity)
+        schedule = repro.schedule(tensor, model, algorithm="gomcds", capacity=capacity)
     prediction, diags = interpret_schedule(
         schedule, tensor, model, trace=wl.trace,
         capacity=None if faults is not None else capacity, faults=faults,

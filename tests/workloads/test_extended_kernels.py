@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.workloads import (
     EXTENDED_KERNELS,
     bitonic_workload,
@@ -80,7 +81,7 @@ class TestSOR:
         assert wl.trace.total_references == interior + edges + corners
 
     def test_block_layout_is_near_optimal(self, mesh44):
-        from repro.core import CostModel, evaluate_schedule, gomcds
+        from repro.core import CostModel, evaluate_schedule
         from repro.distrib import baseline_schedule
 
         wl = sor_workload(16, mesh44)
@@ -89,7 +90,9 @@ class TestSOR:
         block = evaluate_schedule(
             baseline_schedule(wl, "block"), tensor, model
         ).total
-        best = evaluate_schedule(gomcds(tensor, model), tensor, model).total
+        best = evaluate_schedule(
+            repro.schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
         assert best <= block <= best * 1.1  # static block within 10%
 
     def test_validation(self, mesh44):

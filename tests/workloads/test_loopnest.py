@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import schedule
 from repro.workloads import (
     Loop,
     LoopNest,
@@ -126,14 +127,18 @@ class TestExecution:
 
 class TestSchedulingIntegration:
     def test_dsl_workload_feeds_schedulers(self, mesh44):
-        from repro.core import CostModel, evaluate_schedule, gomcds, scds
+        from repro.core import CostModel, evaluate_schedule
 
         n = 8
         inst = lu_update_nest(n, mesh44).generate(mesh44, n * n)
         tensor = inst.reference_tensor()
         model = CostModel(mesh44)
-        go = evaluate_schedule(gomcds(tensor, model), tensor, model).total
-        sc = evaluate_schedule(scds(tensor, model), tensor, model).total
+        go = evaluate_schedule(
+            schedule(tensor, model, algorithm="gomcds"), tensor, model
+        ).total
+        sc = evaluate_schedule(
+            schedule(tensor, model, algorithm="scds"), tensor, model
+        ).total
         assert go <= sc
 
 
