@@ -2,8 +2,9 @@
 
 Pure performance benches (no table regeneration): how each algorithm's
 wall time grows along the three problem axes.  GOMCDS is O(D·W·m²) —
-vectorized across data when unconstrained — so the array-size axis is
-its steepest; SCDS is one matmul + argmin and should stay near-flat.
+one per-datum DP with an ``(m, m)`` broadcast per window — so the
+array-size axis is its steepest; SCDS is one matmul + argmin and should
+stay near-flat.
 
 The batch benches time the engine itself: one ``schedule_many`` fan-out
 of the GOMCDS suite (vectorized numpy kernels, shared solve cache)

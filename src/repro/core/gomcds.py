@@ -12,9 +12,9 @@ path reduces to a forward dynamic program over windows:
 
     ``f_w[k] = min_j (f_{w-1}[j] + Dist[j, k]) + C[w, k]``
 
-which we evaluate with one ``(m, m)`` broadcast per window — and, when
-memory is unconstrained, with a single ``(D, m, m)`` broadcast per
-window for *all* data at once.  ``C`` is the volume-free int64 tensor
+which we evaluate with one ``(m, m)`` broadcast per window, one datum
+at a time — free, capacity-constrained and fault-masked solves all go
+through the same per-datum walk.  ``C`` is the volume-free int64 tensor
 :meth:`~repro.core.cost.CostModel.reference_costs`: a datum's volume
 scales its reference and movement terms alike, so the optimal path never
 depends on it, and solving without it keeps every DP value an exact
@@ -109,41 +109,58 @@ def shortest_center_path(
     return path, total
 
 
-def _all_paths_vectorized(
+def _occupancy(
+    capacity: CapacityPlan | None, n_data: int, n_windows: int
+) -> OccupancyTracker | None:
+    """Slot tracker for a capacity-constrained walk (``None`` when free)."""
+    if capacity is None:
+        return None
+    capacity.check_feasible(n_data)
+    return OccupancyTracker(capacity, n_windows=n_windows)
+
+
+def _walk(
     costs: np.ndarray,
     dist: np.ndarray,
-    return_potentials: bool = False,
+    order,
+    *,
+    solve_path=shortest_center_path,
+    alive: np.ndarray | None = None,
+    tracker: OccupancyTracker | None = None,
+    certify: bool = False,
+    keep_masks: bool = False,
 ):
-    """Unconstrained DP for all data at once.
+    """Solve each datum's cost-graph in ``order`` and claim its path.
 
-    ``costs`` is ``(D, W, m)``; movement between windows costs ``dist``
-    for every datum.  Returns ``(D, W)`` center paths, plus the
-    ``(D, W, m)`` DP potential tables when ``return_potentials``.
+    The one per-datum path-solve loop behind GOMCDS and both
+    reschedulers.  ``costs`` is ``(D, W, m)``; moves cost ``dist``.  A
+    datum's admissible cells are the static ``alive`` mask intersected
+    with the ``tracker``'s free slots, both optional.  Returns
+    ``(centers, potentials, masks)``: the ``(D, W)`` paths, the DP
+    potential tables when ``certify`` and the admissible masks when
+    ``keep_masks`` (otherwise ``None``; masks need ``alive`` or
+    ``tracker``).
     """
-    n_data, n_windows, n_procs = costs.shape
-    back = np.zeros((n_data, n_windows, n_procs), dtype=np.int64)
-    potentials = (
-        np.empty((n_data, n_windows, n_procs), dtype=np.float64)
-        if return_potentials
-        else None
-    )
-    f = costs[:, 0, :].astype(np.float64, copy=True)
-    if potentials is not None:
-        potentials[:, 0, :] = f
-    for w in range(1, n_windows):
-        transition = f[:, :, None] + dist  # (D, m, m): axis 1 = from, 2 = to
-        back[:, w, :] = transition.argmin(axis=1)
-        f = transition.min(axis=1) + costs[:, w, :]
-        if potentials is not None:
-            potentials[:, w, :] = f
-    paths = np.empty((n_data, n_windows), dtype=np.int64)
-    paths[:, -1] = f.argmin(axis=1)
-    rows = np.arange(n_data)
-    for w in range(n_windows - 1, 0, -1):
-        paths[:, w - 1] = back[rows, w, paths[:, w]]
-    if return_potentials:
-        return paths, potentials
-    return paths
+    dist = np.asarray(dist, dtype=np.float64)
+    centers = np.empty(costs.shape[:2], dtype=np.int64)
+    potentials = np.empty(costs.shape) if certify else None
+    masks = np.empty(costs.shape, dtype=bool) if keep_masks else None
+    for d in order:
+        allowed = alive
+        if tracker is not None:
+            free = tracker.available_mask()
+            allowed = free if alive is None else alive & free
+        if masks is not None:
+            masks[d] = allowed
+        solved = solve_path(
+            costs[d], dist, allowed=allowed, return_potentials=certify
+        )
+        if certify:
+            potentials[d] = solved[2]
+        if tracker is not None:
+            tracker.claim_path(solved[0])
+        centers[d] = solved[0]
+    return centers, potentials, masks
 
 
 def _certificate(
@@ -197,8 +214,8 @@ def gomcds(
     path optimal (within its admissible mask) without trusting the solver.
 
     ``kernel`` selects the vectorized DP (``"numpy"``, default — one
-    ``(D, m, m)`` broadcast per window) or the scalar reference oracle
-    (``"python"`` — the paper's pseudocode, loop by loop); both produce
+    ``(m, m)`` broadcast per window and datum) or the scalar reference
+    oracle (``"python"`` — the paper's pseudocode, loop by loop); both produce
     bit-identical schedules and certificates.  Both solve volume-free
     (see the module docstring), so volumes never change the centers.
     """
@@ -218,80 +235,27 @@ def gomcds(
                 costs = placement_cost_tensor_python(tensor, model)
             else:
                 costs = model.reference_costs(tensor)  # (D, W, m) int64
-        dist = model.distances.astype(np.float64)
         obs.gauge("gomcds.dp_cells", n_data * n_windows * model.n_procs)
-        solve_path = (
-            shortest_center_path_python
-            if kernel == "python"
-            else shortest_center_path
-        )
-
         record = obs.provenance.recording
-        if capacity is None:
-            with obs.span("gomcds.dp_sweep"):
-                if kernel == "python":
-                    centers = np.empty((n_data, n_windows), dtype=np.int64)
-                    potentials = (
-                        np.empty((n_data, n_windows, model.n_procs))
-                        if certify
-                        else None
-                    )
-                    for d in range(n_data):
-                        if certify:
-                            centers[d], _, potentials[d] = solve_path(
-                                costs[d], dist, return_potentials=True
-                            )
-                        else:
-                            centers[d], _ = solve_path(costs[d], dist)
-                    meta = (
-                        {"certificate": _certificate(potentials)}
-                        if certify
-                        else {}
-                    )
-                elif certify:
-                    centers, potentials = _all_paths_vectorized(
-                        costs, dist, return_potentials=True
-                    )
-                    meta = {"certificate": _certificate(potentials)}
-                else:
-                    centers = _all_paths_vectorized(costs, dist)
-                    meta = {}
-            if record:
-                record_decisions(
-                    obs, costs=costs, centers=centers, model=model,
-                    method="GOMCDS", kernel=kernel,
-                )
-            return Schedule(
-                centers=centers,
-                windows=tensor.windows,
-                method="GOMCDS",
-                meta=meta,
+        tracker = _occupancy(capacity, n_data, n_windows)
+        if tracker is None:
+            span, order = "gomcds.dp_sweep", range(n_data)
+        else:
+            span, order = "gomcds.capacity_walk", tensor.data_priority_order()
+        with obs.span(span):
+            centers, potentials, masks = _walk(
+                costs,
+                model.distances,
+                order,
+                solve_path=(
+                    shortest_center_path_python
+                    if kernel == "python"
+                    else shortest_center_path
+                ),
+                tracker=tracker,
+                certify=certify,
+                keep_masks=tracker is not None and (certify or record),
             )
-
-        capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=n_windows)
-        centers = np.empty((n_data, n_windows), dtype=np.int64)
-        potentials = (
-            np.empty((n_data, n_windows, model.n_procs)) if certify else None
-        )
-        masks = (
-            np.empty((n_data, n_windows, model.n_procs), dtype=bool)
-            if certify or record
-            else None
-        )
-        with obs.span("gomcds.capacity_walk"):
-            for d in tensor.data_priority_order():
-                allowed = tracker.available_mask()
-                if masks is not None:
-                    masks[d] = allowed
-                if certify:
-                    path, _, potentials[d] = solve_path(
-                        costs[d], dist, allowed=allowed, return_potentials=True
-                    )
-                else:
-                    path, _ = solve_path(costs[d], dist, allowed=allowed)
-                tracker.claim_path(path)
-                centers[d] = path
         meta = {"certificate": _certificate(potentials, masks)} if certify else {}
         if record:
             record_decisions(

@@ -22,11 +22,11 @@ import numpy as np
 
 from ..diagnostics import FLT004
 from ..faults import FaultPlan
-from ..mem import CapacityError, CapacityPlan, OccupancyTracker
+from ..mem import CapacityError, CapacityPlan
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _certificate, shortest_center_path
+from .gomcds import _certificate, _occupancy, _walk
 from .schedule import Schedule
 
 __all__ = [
@@ -45,6 +45,30 @@ def alive_window_mask(
         down = list(plan.down_nodes(w))
         if down:
             alive[w, down] = False
+    return alive
+
+
+def _alive_cells(
+    plan: FaultPlan, n_windows: int, n_procs: int, from_window: int, obs
+) -> np.ndarray:
+    """Alive mask of windows ``from_window ..``, refusing a dead window.
+
+    Raises :class:`~repro.mem.CapacityError` with the same code and
+    wording as the static FLT004 lint rule when the plan kills the whole
+    array in some window, so no placement can exist.
+    """
+    with obs.span("reschedule.alive_mask"):
+        alive = alive_window_mask(plan, n_windows, n_procs)[from_window:]
+    dead_windows = np.nonzero(~alive.any(axis=1))[0]
+    if len(dead_windows):
+        w_dead = from_window + int(dead_windows[0])
+        raise CapacityError(
+            f"window {w_dead} has no surviving processor; "
+            "the fault plan kills the whole array",
+            window=w_dead,
+            code=FLT004,
+        )
+    obs.gauge("reschedule.masked_cells", int((~alive).sum()))
     return alive
 
 
@@ -94,64 +118,29 @@ def reschedule_around_faults(
         n_node_faults=len(plan.node_faults),
         constrained=capacity is not None,
     ):
-        with obs.span("reschedule.alive_mask"):
-            alive = alive_window_mask(plan, n_windows, n_procs)
-        dead_windows = np.nonzero(~alive.any(axis=1))[0]
-        if len(dead_windows):
-            # Same code and wording as the static FLT004 lint rule: the plan
-            # kills the whole array, so no placement can exist.
-            raise CapacityError(
-                f"window {int(dead_windows[0])} has no surviving processor; "
-                "the fault plan kills the whole array",
-                window=int(dead_windows[0]),
-                code=FLT004,
-            )
-        obs.gauge(
-            "reschedule.masked_cells", int((~alive).sum())
-        )
-
+        alive = _alive_cells(plan, n_windows, n_procs, 0, obs)
         with obs.span("reschedule.cost_tensor"):
             costs = model.reference_costs(tensor)  # (D, W, m) int64
-        dist = model.distances
-
-        tracker = None
-        if capacity is not None:
-            capacity.check_feasible(n_data)
-            tracker = OccupancyTracker(capacity, n_windows=n_windows)
-
+        tracker = _occupancy(capacity, n_data, n_windows)
         record = obs.provenance.recording
-        centers = np.empty((n_data, n_windows), dtype=np.int64)
-        potentials = np.empty((n_data, n_windows, n_procs)) if certify else None
-        masks = (
-            np.empty((n_data, n_windows, n_procs), dtype=bool)
-            if certify or record
-            else None
-        )
         with obs.span("reschedule.capacity_walk"):
-            for d in tensor.data_priority_order():
-                allowed = (
-                    alive if tracker is None else alive & tracker.available_mask()
-                )
-                if masks is not None:
-                    masks[d] = allowed
-                if certify:
-                    path, _, potentials[d] = shortest_center_path(
-                        costs[d], dist, allowed=allowed, return_potentials=True
-                    )
-                else:
-                    path, _ = shortest_center_path(costs[d], dist, allowed=allowed)
-                if tracker is not None:
-                    tracker.claim_path(path)
-                centers[d] = path
+            centers, potentials, masks = _walk(
+                costs,
+                model.distances,
+                tensor.data_priority_order(),
+                alive=alive,
+                tracker=tracker,
+                certify=certify,
+                keep_masks=certify or record,
+            )
         meta = {"n_node_faults": len(plan.node_faults)}
-        if certify:
-            meta["certificate"] = _certificate(potentials, masks)
         if record:
             record_decisions(
                 obs, costs=costs, centers=centers, model=model,
-                method="GOMCDS+faults", masks=masks,
-                meta={"n_node_faults": len(plan.node_faults)},
+                method="GOMCDS+faults", masks=masks, meta=dict(meta),
             )
+        if certify:
+            meta["certificate"] = _certificate(potentials, masks)
         return Schedule(
             centers=centers,
             windows=tensor.windows,
@@ -214,6 +203,13 @@ def reschedule_from_window(
         raise ValueError(
             f"placement must have shape ({n_data},), got {placement.shape}"
         )
+    out_of_range = np.nonzero((placement < 0) | (placement >= n_procs))[0]
+    if len(out_of_range):
+        d = int(out_of_range[0])
+        raise ValueError(
+            f"placement of datum {d} is pid {int(placement[d])}, "
+            f"outside [0, {n_procs})"
+        )
 
     obs = resolve(instrument)
     n_suffix = n_windows - from_window
@@ -224,87 +220,46 @@ def reschedule_from_window(
         n_node_faults=len(plan.node_faults),
         constrained=capacity is not None,
     ):
-        with obs.span("reschedule.alive_mask"):
-            alive = alive_window_mask(plan, n_windows, n_procs)[from_window:]
-        dead_windows = np.nonzero(~alive.any(axis=1))[0]
-        if len(dead_windows):
-            w_dead = from_window + int(dead_windows[0])
-            raise CapacityError(
-                f"window {w_dead} has no surviving processor; "
-                "the fault plan kills the whole array",
-                window=w_dead,
-                code=FLT004,
-            )
-        obs.gauge("reschedule.masked_cells", int((~alive).sum()))
-
+        alive = _alive_cells(plan, n_windows, n_procs, from_window, obs)
         with obs.span("reschedule.cost_tensor"):
             full_costs = model.reference_costs(tensor)
-            costs = full_costs[:, from_window:, :]
-        dist = model.distances
-
-        tracker = None
-        if capacity is not None:
-            capacity.check_feasible(n_data)
-            tracker = OccupancyTracker(capacity, n_windows=n_suffix)
-
+            costs = full_costs[:, from_window:, :].copy()
+            # pin the suffix to the rollback residency: entering window
+            # ``from_window`` at center c costs the move from where the
+            # datum actually sits right now
+            costs[:, 0] += model.distances[placement]
+        tracker = _occupancy(capacity, n_data, n_suffix)
         record = obs.provenance.recording
-        centers = schedule.centers.copy()
-        potentials = np.empty((n_data, n_suffix, n_procs)) if certify else None
-        masks = (
-            np.empty((n_data, n_suffix, n_procs), dtype=bool)
-            if certify
-            else None
-        )
-        # provenance covers the full horizon (prefix decisions are history,
-        # admissible everywhere), so attribution reconstructs the produced
-        # schedule's CostBreakdown, prefix included
-        prov_masks = (
-            np.ones((n_data, n_windows, n_procs), dtype=bool) if record else None
-        )
         with obs.span("reschedule.capacity_walk"):
-            for d in tensor.data_priority_order():
-                window_costs = costs[d].copy()
-                # pin the suffix to the rollback residency: entering window
-                # ``from_window`` at center c costs the move from where the
-                # datum actually sits right now
-                window_costs[0] += dist[placement[d], :]
-                allowed = (
-                    alive if tracker is None else alive & tracker.available_mask()
-                )
-                if masks is not None:
-                    masks[d] = allowed
-                if prov_masks is not None:
-                    prov_masks[d, from_window:] = allowed
-                if certify:
-                    path, _, potentials[d] = shortest_center_path(
-                        window_costs, dist, allowed=allowed,
-                        return_potentials=True,
-                    )
-                else:
-                    path, _ = shortest_center_path(
-                        window_costs, dist, allowed=allowed
-                    )
-                if tracker is not None:
-                    tracker.claim_path(path)
-                centers[d, from_window:] = path
+            suffix, potentials, masks = _walk(
+                costs,
+                model.distances,
+                tensor.data_priority_order(),
+                alive=alive,
+                tracker=tracker,
+                certify=certify,
+                keep_masks=certify or record,
+            )
+        centers = schedule.centers.copy()
+        centers[:, from_window:] = suffix
         meta = {
             "from_window": from_window,
             "n_node_faults": len(plan.node_faults),
             "base_method": schedule.method,
         }
+        if record:
+            # provenance covers the full horizon (prefix decisions are
+            # history, admissible everywhere), so attribution reconstructs
+            # the produced schedule's CostBreakdown, prefix included
+            prov_masks = np.ones((n_data, n_windows, n_procs), dtype=bool)
+            prov_masks[:, from_window:] = masks
+            record_decisions(
+                obs, costs=full_costs, centers=centers, model=model,
+                method="GOMCDS+recovery", masks=prov_masks, meta=dict(meta),
+            )
         if certify:
             meta["certificate"] = _certificate(
                 potentials, masks, from_window=from_window, placement=placement
-            )
-        if record:
-            record_decisions(
-                obs, costs=full_costs, centers=centers, model=model,
-                method="GOMCDS+recovery", masks=prov_masks,
-                meta={
-                    "from_window": from_window,
-                    "n_node_faults": len(plan.node_faults),
-                    "base_method": schedule.method,
-                },
             )
         return Schedule(
             centers=centers,

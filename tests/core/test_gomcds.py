@@ -1,14 +1,16 @@
 """GOMCDS (Algorithm 2) unit tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import schedule
 from repro.core import CostModel, evaluate_schedule, shortest_center_path
-from repro.grid import Mesh1D
+from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityError, CapacityPlan
 from repro.trace import build_reference_tensor
-from repro.workloads import trace_from_counts
+from repro.workloads import benchmark, trace_from_counts
 
 
 def tensor_1d(counts):
@@ -90,7 +92,7 @@ class TestGomcds:
         assert sched.centers[0].tolist() == [0, 4, 0]
 
     def test_vectorized_matches_sequential(self, drift, mesh44):
-        """The all-data DP must equal per-datum shortest paths."""
+        """The scheduled free solve must equal standalone shortest paths."""
         tensor = drift.reference_tensor()
         model = CostModel(mesh44)
         fast = schedule(tensor, model, algorithm="gomcds")
@@ -146,3 +148,21 @@ class TestGomcds:
         a = schedule(lu8_tensor, model, algorithm="gomcds")
         b = schedule(lu8_tensor, model, algorithm="gomcds")
         assert np.array_equal(a.centers, b.centers)
+
+
+@pytest.mark.parametrize(("certify", "max_ratio"), [(False, 2.0), (True, 3.0)])
+def test_dp_peak_memory_is_linear_in_the_tensor(certify, max_ratio):
+    # The solve holds the (D, W, m) cost tensor (and, certified, the
+    # potential tables of the same shape) but no per-window (D, m, m)
+    # temporary: the traced peak stays within a small multiple of the
+    # reference tensor itself.
+    mesh = Mesh2D(8, 8)
+    tensor = benchmark(1, 16, mesh).reference_tensor()
+    model = CostModel(mesh)
+    tracemalloc.start()
+    try:
+        schedule(tensor, model, algorithm="gomcds", certify=certify)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max_ratio * tensor.counts.nbytes

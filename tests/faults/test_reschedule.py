@@ -15,14 +15,25 @@ from repro.mem import CapacityError
 from repro.sim import replay_schedule
 
 
-def test_empty_plan_reproduces_gomcds(lu8_tensor, model44, paper_capacity):
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certified"])
+@pytest.mark.parametrize("constrained", [False, True], ids=["free", "capacity"])
+def test_empty_plan_reproduces_gomcds(
+    constrained, certify, lu8_tensor, model44, paper_capacity
+):
+    capacity = paper_capacity if constrained else None
     plain = repro.schedule(
-        lu8_tensor, model44, algorithm="gomcds", capacity=paper_capacity
+        lu8_tensor, model44, algorithm="gomcds", capacity=capacity,
+        certify=certify,
     )
     faulted = reschedule_around_faults(
-        lu8_tensor, model44, FaultPlan(), paper_capacity
+        lu8_tensor, model44, FaultPlan(), capacity, certify=certify
     )
     assert np.array_equal(faulted.centers, plain.centers)
+    if certify:
+        expected = plain.meta["certificate"]
+        got = faulted.meta["certificate"]
+        assert np.array_equal(got["potentials"], expected["potentials"])
+        assert np.array_equal(got["totals"], expected["totals"])
 
 
 def test_centers_avoid_dead_cells(lu8_tensor, model44, paper_capacity):
@@ -249,6 +260,23 @@ class TestRescheduleFromWindow:
             reschedule_from_window(
                 schedule, lu8_tensor, model44, plan, from_window=w,
                 placement=np.zeros(3, dtype=np.int64),
+            )
+
+    @pytest.mark.parametrize("bad_pid", [-1, 16], ids=["negative", "n_procs"])
+    def test_out_of_range_placement_rejected(
+        self, bad_pid, mid_fault, lu8_tensor, model44
+    ):
+        # a negative pid would silently index from the end of the distance
+        # matrix and one past the array would crash deep in numpy; both are
+        # refused up front, naming the first offending datum
+        schedule, plan, w, _ = mid_fault
+        assert bad_pid in (-1, model44.n_procs)
+        placement = schedule.centers[:, w - 1].copy()
+        placement[[3, 5]] = bad_pid
+        with pytest.raises(ValueError, match=rf"datum 3 is pid {bad_pid}"):
+            reschedule_from_window(
+                schedule, lu8_tensor, model44, plan, from_window=w,
+                placement=placement,
             )
 
     def test_dead_suffix_window_raises_flt004(self, lu8_tensor, model44):
