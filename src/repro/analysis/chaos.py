@@ -2,9 +2,9 @@
 
 Online recovery (:mod:`repro.faults.online`) makes hard promises —
 checkpoints restore bit-identically, rollbacks never rewind past one
-interval, a fault-free checkpointed run is indistinguishable from the
-monolithic replay, and the ``replicate`` mode loses no datum instance in
-a run the controller fully recovered.  A unit test checks each promise
+interval, checkpointing and polling do not perturb a healthy run, and
+the ``replicate`` mode loses no datum instance in a run the controller
+fully recovered.  A unit test checks each promise
 on one hand-built plan; this harness checks all of them on *seeded
 storms*: every scenario samples a fresh :meth:`FaultPlan.random` (capped
 by ``max_down_fraction`` so the array stays survivable), drives a
@@ -19,8 +19,9 @@ in ``docs/fault-model.md``:
     broken checkpoint round-trip — a restore did not reproduce the
     checkpoint digest;
 ``RCV003``
-    fault-free drift — the checkpointed replay of a healthy run is not
-    bit-identical to :func:`~repro.sim.replay_schedule`;
+    fault-free drift — checkpointing and polling perturbed a healthy
+    run: the controller's replay is not bit-identical to
+    :func:`~repro.sim.replay_schedule`;
 ``RCV004``
     rollback overshoot — a rewind exceeded the checkpoint interval.
 
@@ -205,7 +206,7 @@ def _check_invariants(
             )
         )
 
-    # RCV003: a fault-free checkpointed run matches the monolithic replay
+    # RCV003: checkpointing and polling do not perturb a healthy run
     if baseline_dict is not None and sim.to_dict() != baseline_dict:
         violations.append(
             Diagnostic(

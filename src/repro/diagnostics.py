@@ -161,8 +161,8 @@ RCV001 = "RCV001"
 # Checkpoint round-trip broken: restoring a snapshot and re-hashing the
 # state did not reproduce the checkpoint digest bit for bit.
 RCV002 = "RCV002"
-# Fault-free drift: a checkpointed replay of a healthy run diverged from
-# the monolithic fault-free replay (must be bit-identical).
+# Fault-free drift: checkpointing and polling perturbed a healthy run (a
+# fault-free controller run must be bit-identical to replay_schedule).
 RCV003 = "RCV003"
 # Rollback overshoot: a recovery rewound further than one checkpoint
 # interval (the controller's bounded-rollback guarantee).

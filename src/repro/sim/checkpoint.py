@@ -1,15 +1,14 @@
-"""Checkpointed, window-stepping replay: the substrate of online recovery.
+"""Checkpointed, window-stepping replay: the one per-window replay loop.
 
-:func:`~repro.sim.replay_schedule` executes a whole schedule in one
-monolithic pass — fine when every fault is declared up front, useless
-when a fault is only *discovered* mid-run and execution must rewind.
-:class:`ReplayCursor` exposes the same replay one window at a time:
+:class:`ReplayCursor` executes a schedule one window at a time.  It is
+the only window loop in :mod:`repro.sim`: :func:`~repro.sim.replay_schedule`
+steps a cursor to the end inside its telemetry spans, and the online
+:class:`~repro.faults.online.RecoveryController` steps one with
+checkpoints in between, because a fault only *discovered* mid-run needs
+execution to rewind:
 
-* ``step()`` executes the next window through the *exact same* helpers
-  the monolithic driver uses (``_serve_window_plain`` on a healthy
-  array, ``_execute_faulted_window`` under a fault plan), so a cursor
-  run is accounting-identical to ``replay_schedule`` — bit for bit on
-  the fault-free path, asserted by the chaos harness;
+* ``step()`` executes the next window (``_serve_window_plain`` on a
+  healthy array, ``_execute_faulted_window`` under a fault plan);
 * ``snapshot()`` captures the full simulator state — machine residency,
   memory load and every :class:`~repro.sim.SimReport` accumulator — as
   an immutable :class:`Checkpoint` with a content digest;
@@ -20,9 +19,9 @@ when a fault is only *discovered* mid-run and execution must rewind.
   is how the :class:`~repro.faults.online.RecoveryController` resumes on
   a rescheduled suffix after a rollback.
 
-The cursor deliberately records no spans of its own: the controller
-owns the observability story for online runs, and span emission must
-never influence the report (bit-identity again).
+The cursor records no spans of its own: its callers own the
+observability story, and span emission must never influence the report
+(bit-identity again).
 """
 
 from __future__ import annotations
@@ -37,9 +36,11 @@ import numpy as np
 from ..core import CostModel, Schedule
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..grid import XYRouter
+from ..obs import SpatialRecorder
 from ..trace import Trace
 from .machine import PIMArray
 from .replay import (
+    _check_inputs,
     _execute_faulted_window,
     _relocate_for_window,
     _serve_window_plain,
@@ -91,8 +92,7 @@ class ReplayCursor:
     ``faults`` here is the plan the cursor *injects* (for online runs:
     the faults discovered so far, not the full ground-truth plan).  An
     empty plan takes the vectorized fault-free path; any non-empty plan
-    takes the degraded per-event path — the same dichotomy as the
-    monolithic driver.
+    takes the degraded per-event path.
     """
 
     def __init__(
@@ -108,13 +108,7 @@ class ReplayCursor:
         on_unreachable=None,
         on_stranded=None,
     ) -> None:
-        windows = schedule.windows
-        if windows.n_steps != trace.n_steps:
-            raise ValueError("schedule windows do not span the trace")
-        if trace.n_data != schedule.n_data:
-            raise ValueError("schedule and trace disagree on n_data")
-        if trace.n_procs != model.n_procs:
-            raise ValueError("trace and cost model disagree on the array size")
+        _check_inputs(trace, schedule, model)
         self.trace = trace
         self.model = model
         self.capacity = capacity
@@ -123,7 +117,7 @@ class ReplayCursor:
         self.track_links = track_links
         self.on_unreachable = on_unreachable
         self.on_stranded = on_stranded
-        self.n_windows = windows.n_windows
+        self.n_windows = schedule.n_windows
 
         self.machine = PIMArray(model.topology, capacity)
         self.machine.load_initial(schedule.initial_placement())
@@ -131,13 +125,9 @@ class ReplayCursor:
             per_window_cost=np.zeros(self.n_windows),
             topology_shape=tuple(model.topology.shape),
         )
-        event_windows = windows.assign(trace.steps)
-        self._order = np.argsort(event_windows, kind="stable")
-        self._boundaries = np.searchsorted(
-            event_windows[self._order], np.arange(self.n_windows + 1)
-        )
+        self._events = schedule.windows.group(trace.steps)
         self.window = 0
-        self._plain_router = XYRouter(model.topology) if track_links else None
+        self._router = XYRouter(model.topology)
         self.schedule = schedule
         self.faults = FaultPlan()
         self.injector: FaultInjector | None = None
@@ -180,37 +170,46 @@ class ReplayCursor:
 
     def window_events(self, w: int) -> np.ndarray:
         """Trace-event indices served by window ``w``."""
-        return self._order[self._boundaries[w] : self._boundaries[w + 1]]
+        return self._events[w]
 
-    def step(self) -> None:
-        """Execute the next window and advance the cursor."""
+    def step(
+        self, *, spatial: SpatialRecorder | None = None, want_hops: bool = False
+    ) -> float:
+        """Execute the next window and advance the cursor.
+
+        ``spatial`` additionally records the window's routed traffic.
+        Returns the window's unweighted fetch hops when ``want_hops`` on
+        a healthy array, else 0.0.
+        """
         if self.done:
             raise RuntimeError("replay cursor already ran past the last window")
         w = self.window
         idx = self.window_events(w)
+        hops = 0.0
         if self.injector is None:
             if w > 0:
                 _relocate_for_window(
                     self.machine, self.schedule, self.model, w, self.report,
-                    self._plain_router,
+                    self._router, self.track_links, spatial,
                 )
-            _serve_window_plain(
+            hops = _serve_window_plain(
                 self.machine, self.schedule, self.trace, self.model, w, idx,
-                self.report, self._plain_router,
+                self.report, self._router, self.track_links, spatial, want_hops,
             )
             # a healthy array delivers everything; keeping the counter
-            # current per window (rather than once at finish) makes the
-            # accounting survive a mid-run rebind onto the degraded path
+            # current per window makes the accounting survive a mid-run
+            # rebind onto the degraded path
             self.report.n_delivered = self.report.n_fetches
         else:
             _execute_faulted_window(
                 self.machine, self.schedule, self.trace, self.model, w, idx,
                 self.report, self.injector, self.retry, self.evacuate,
-                self.track_links,
+                self.track_links, spatial,
                 on_unreachable=self.on_unreachable,
                 on_stranded=self.on_stranded,
             )
         self.window = w + 1
+        return hops
 
     def run(self) -> SimReport:
         """Step through every remaining window and finish."""
@@ -219,18 +218,11 @@ class ReplayCursor:
         return self.finish()
 
     def finish(self) -> SimReport:
-        """The completed report (call after the last window).
-
-        Mirrors :func:`replay_schedule`'s epilogue: a fault-free replay
-        delivers every fetch by construction, so ``n_delivered`` is set
-        wholesale there; the degraded path counted deliveries one by one.
-        """
+        """The completed report (call after the last window)."""
         if not self.done:
             raise RuntimeError(
                 f"replay incomplete: {self.window}/{self.n_windows} windows"
             )
-        if self.injector is None:
-            self.report.n_delivered = self.report.n_fetches
         return self.report
 
     # -- checkpointing -------------------------------------------------------

@@ -31,7 +31,7 @@ from ..faults import FaultInjector, FaultPlan
 from ..grid import XYRouter
 from ..obs import Instrumentation, resolve
 from ..trace import Trace
-from .replay import _spatial_recorder
+from .replay import _check_inputs, _spatial_recorder
 
 __all__ = ["NetworkReport", "simulate_window_traffic", "simulate_schedule_network"]
 
@@ -127,9 +127,8 @@ def simulate_schedule_network(
     ``network:<method>``); per-window drain times land as timestamped
     histograms (``network.window_fetch_cycles`` / ``..._move_cycles``).
     """
+    _check_inputs(trace, schedule, model)
     windows = schedule.windows
-    if windows.n_steps != trace.n_steps:
-        raise ValueError("schedule windows do not span the trace")
     faulty = faults is not None and not faults.is_empty
     injector = (
         FaultInjector(faults, model.topology, windows.n_windows) if faulty else None
@@ -145,20 +144,16 @@ def simulate_schedule_network(
     total_packets = 0
     n_undeliverable = 0
 
-    event_windows = windows.assign(trace.steps)
     with obs.span(
         "sim.network",
         n_windows=n_windows,
         method=schedule.method,
         faults=faulty,
     ):
-        for w in range(n_windows):
+        for w, idx in enumerate(windows.group(trace.steps)):
             router = injector.router(w) if injector is not None else plain_router
-            mask = event_windows == w
             transfers = []
-            for p, d, c in zip(
-                trace.procs[mask], trace.data[mask], trace.counts[mask]
-            ):
+            for p, d, c in zip(trace.procs[idx], trace.data[idx], trace.counts[idx]):
                 center = int(schedule.centers[d, w])
                 volume = int(round(c * model.volume(int(d))))
                 if center == int(p) or volume <= 0:

@@ -24,6 +24,10 @@ dropped fetches are retried with exponential backoff up to a retry
 budget, and every reference is accounted as delivered, dropped or
 unreachable in the :class:`~repro.sim.SimReport`.  An *empty* plan takes
 the exact fault-free code path, bit for bit.
+
+:func:`replay_schedule` owns the telemetry of a replay; the windows
+themselves are executed by :meth:`~repro.sim.checkpoint.ReplayCursor.step`,
+the one per-window loop of this package, through the helpers below.
 """
 
 from __future__ import annotations
@@ -40,6 +44,26 @@ from .machine import PIMArray, ResidencyError
 from .stats import SimReport
 
 __all__ = ["replay_schedule"]
+
+#: End-of-run counters of a healthy and of a degraded replay, in
+#: emission order, with the :class:`SimReport` field each one reports.
+_PLAIN_COUNTERS = (
+    ("sim.fetches", "n_fetches"),
+    ("sim.local_fetches", "n_local_fetches"),
+    ("sim.moves", "n_moves"),
+    ("sim.movement_volume", "movement_cost"),
+)
+_FAULT_COUNTERS = (
+    ("sim.fetches", "n_fetches"),
+    ("sim.moves", "n_moves"),
+    ("faults.delivered", "n_delivered"),
+    ("faults.retries", "n_retries"),
+    ("faults.dropped", "n_dropped"),
+    ("faults.unreachable", "n_unreachable"),
+    ("faults.evacuated", "n_evacuated"),
+    ("faults.lost", "n_lost"),
+    ("faults.skipped_moves", "n_skipped_moves"),
+)
 
 
 def replay_schedule(
@@ -88,86 +112,72 @@ def replay_schedule(
         active (usually no-op) handle.  Tracing is strictly read-only —
         a fault-free replay is bit-identical with or without it.
     """
-    windows = schedule.windows
-    if windows.n_steps != trace.n_steps:
+    from .checkpoint import ReplayCursor
+
+    cursor = ReplayCursor(
+        trace, schedule, model, capacity=capacity, faults=faults,
+        retry=retry, evacuate=evacuate, track_links=track_links,
+    )
+    injector = cursor.injector
+    obs = resolve(instrument)
+    spatial, all_vols = _spatial_recorder(obs, schedule, model)
+    report = cursor.report
+    with obs.span(
+        "sim.replay",
+        n_windows=cursor.n_windows,
+        n_steps=trace.n_steps,
+        method=schedule.method,
+        faults=injector is not None,
+    ):
+        while not cursor.done:
+            w = cursor.window
+            with obs.span("sim.window", window=w) as window_span:
+                local_before = report.n_local_fetches
+                delivered_before = report.n_delivered
+                hops = cursor.step(spatial=spatial, want_hops=obs.enabled)
+                if spatial is not None:
+                    spatial.close_window(
+                        w, obs.tracer.now_us(), cursor.machine.locations(), all_vols
+                    )
+                if not obs.enabled:
+                    continue
+                fetches = len(cursor.window_events(w))
+                cost = float(report.per_window_cost[w])
+                if injector is None:
+                    obs.observe("sim.window_hops", hops)
+                    obs.observe("sim.window_cost", cost)
+                    window_span.set(
+                        fetches=fetches,
+                        local=report.n_local_fetches - local_before,
+                        hops=hops,
+                        cost=cost,
+                    )
+                else:
+                    delivered = report.n_delivered - delivered_before
+                    obs.observe("sim.window_cost", cost)
+                    obs.observe("sim.window_delivered", delivered)
+                    window_span.set(
+                        fetches=fetches,
+                        delivered=delivered,
+                        down_nodes=len(injector.down_nodes(w)),
+                        cost=cost,
+                    )
+        counters = _PLAIN_COUNTERS if injector is None else _FAULT_COUNTERS
+        for name, attr in counters:
+            obs.count(name, getattr(report, attr))
+    if spatial is not None:
+        obs.spatial.add(spatial.finish())
+    return cursor.finish()
+
+
+def _check_inputs(trace: Trace, schedule: Schedule, model: CostModel) -> None:
+    """Reject a trace, schedule and cost model that describe different runs."""
+    if schedule.windows.n_steps != trace.n_steps:
         raise ValueError("schedule windows do not span the trace")
     if trace.n_data != schedule.n_data:
         raise ValueError("schedule and trace disagree on n_data")
     if trace.n_procs != model.n_procs:
         raise ValueError("trace and cost model disagree on the array size")
-
-    obs = resolve(instrument)
-    if faults is not None and not faults.is_empty:
-        return _replay_with_faults(
-            trace,
-            schedule,
-            model,
-            capacity,
-            track_links,
-            faults,
-            retry or RetryPolicy(),
-            evacuate,
-            obs,
-        )
-
-    machine = PIMArray(model.topology, capacity)
-    machine.load_initial(schedule.initial_placement())
-    router = XYRouter(model.topology) if track_links else None
-    spatial, all_vols = _spatial_recorder(obs, schedule, model)
-    spatial_router = None
-    if spatial is not None:
-        spatial_router = router if router is not None else XYRouter(model.topology)
-    report = SimReport(
-        per_window_cost=np.zeros(windows.n_windows),
-        topology_shape=tuple(model.topology.shape),
-    )
-
-    event_windows = windows.assign(trace.steps)
-    order = np.argsort(event_windows, kind="stable")
-    boundaries = np.searchsorted(event_windows[order], np.arange(windows.n_windows + 1))
-
-    with obs.span(
-        "sim.replay",
-        n_windows=windows.n_windows,
-        n_steps=trace.n_steps,
-        method=schedule.method,
-        faults=False,
-    ):
-        for w in range(windows.n_windows):
-            with obs.span("sim.window", window=w) as window_span:
-                if w > 0:
-                    _relocate_for_window(
-                        machine, schedule, model, w, report, router,
-                        spatial, spatial_router,
-                    )
-                idx = order[boundaries[w] : boundaries[w + 1]]
-                n_local, hops = _serve_window_plain(
-                    machine, schedule, trace, model, w, idx, report,
-                    router, spatial, spatial_router, want_hops=obs.enabled,
-                )
-                if spatial is not None:
-                    spatial.close_window(
-                        w, obs.tracer.now_us(), machine.locations(), all_vols
-                    )
-                if obs.enabled:
-                    obs.observe("sim.window_hops", hops)
-                    obs.observe(
-                        "sim.window_cost", float(report.per_window_cost[w])
-                    )
-                    window_span.set(
-                        fetches=int(len(idx)),
-                        local=n_local,
-                        hops=hops,
-                        cost=float(report.per_window_cost[w]),
-                    )
-        obs.count("sim.fetches", report.n_fetches)
-        obs.count("sim.local_fetches", report.n_local_fetches)
-        obs.count("sim.moves", report.n_moves)
-        obs.count("sim.movement_volume", report.movement_cost)
-    if spatial is not None:
-        obs.spatial.add(spatial.finish())
-    report.n_delivered = report.n_fetches
-    return report
 
 
 def _spatial_recorder(obs, schedule, model, label: str | None = None):
@@ -192,20 +202,16 @@ def _serve_window_plain(
     w: int,
     idx: np.ndarray,
     report: SimReport,
-    router: XYRouter | None = None,
+    router: XYRouter,
+    track_links: bool,
     spatial: SpatialRecorder | None = None,
-    spatial_router: XYRouter | None = None,
     want_hops: bool = False,
-) -> tuple[int, float]:
+) -> float:
     """Serve window ``w``'s fetches on a healthy array (vectorized).
 
-    The single source of truth for fault-free fetch accounting: both
-    :func:`replay_schedule` and the checkpointing
-    :class:`~repro.sim.checkpoint.ReplayCursor` call it, which is what
-    makes a checkpointed fault-free replay bit-identical to the plain
-    path.  Returns ``(n_local, hops)``; ``hops`` is only computed when
-    ``want_hops`` (it exists for the observability probes and costs an
-    extra vector pass).
+    The single source of truth for fault-free fetch accounting.  Returns
+    the window's unweighted fetch hops when ``want_hops`` (it exists for
+    the observability probes and costs an extra vector pass), else 0.0.
     """
     dist = model.distances
     procs = trace.procs[idx]
@@ -230,19 +236,16 @@ def _serve_window_plain(
     report.reference_cost += float(hop_costs.sum())
     report.per_window_cost[w] += float(hop_costs.sum())
     report.n_fetches += int(len(idx))
-    n_local = int((centers == procs).sum())
-    report.n_local_fetches += n_local
-    if router is not None or spatial is not None:
-        link_router = router if router is not None else spatial_router
+    report.n_local_fetches += int((centers == procs).sum())
+    if track_links or spatial is not None:
         for c, p, volume in zip(centers, procs, counts * vols):
             if c != p:
-                links = link_router.links(int(c), int(p))
-                if router is not None:
+                links = router.links(int(c), int(p))
+                if track_links:
                     report.add_link_traffic(links, float(volume))
                 if spatial is not None:
                     spatial.record(w, links, float(volume))
-    hops = float((dist[centers, procs] * counts).sum()) if want_hops else 0.0
-    return n_local, hops
+    return float((dist[centers, procs] * counts).sum()) if want_hops else 0.0
 
 
 def _relocate_for_window(
@@ -251,9 +254,9 @@ def _relocate_for_window(
     model: CostModel,
     w: int,
     report: SimReport,
-    router: XYRouter | None,
+    router: XYRouter,
+    track_links: bool,
     spatial: SpatialRecorder | None = None,
-    spatial_router: XYRouter | None = None,
 ) -> None:
     """Perform all movements into window ``w`` and charge their cost."""
     prev_centers = schedule.centers[:, w - 1]
@@ -268,10 +271,9 @@ def _relocate_for_window(
         report.movement_cost += cost
         report.per_window_cost[w] += cost
         report.n_moves += 1
-        if router is not None or spatial is not None:
-            link_router = router if router is not None else spatial_router
-            links = link_router.links(src, dst)
-            if router is not None:
+        if track_links or spatial is not None:
+            links = router.links(src, dst)
+            if track_links:
                 report.add_link_traffic(links, volume)
             if spatial is not None:
                 spatial.record(w, links, volume)
@@ -280,84 +282,6 @@ def _relocate_for_window(
 # ---------------------------------------------------------------------------
 # Degraded replay under a fault plan
 # ---------------------------------------------------------------------------
-
-
-def _replay_with_faults(
-    trace: Trace,
-    schedule: Schedule,
-    model: CostModel,
-    capacity: CapacityPlan | None,
-    track_links: bool,
-    faults: FaultPlan,
-    retry: RetryPolicy,
-    evacuate: bool,
-    obs: Instrumentation,
-) -> SimReport:
-    """Execute the schedule while injecting ``faults``.
-
-    The machine's residency — not the schedule — is authoritative here:
-    evacuation and skipped relocations make the two diverge by design,
-    and fetches are served from wherever a datum actually lives.
-    """
-    windows = schedule.windows
-    injector = FaultInjector(faults, model.topology, windows.n_windows)
-    machine = PIMArray(model.topology, capacity)
-    machine.load_initial(schedule.initial_placement())
-    spatial, all_vols = _spatial_recorder(obs, schedule, model)
-    report = SimReport(
-        per_window_cost=np.zeros(windows.n_windows),
-        topology_shape=tuple(model.topology.shape),
-    )
-
-    event_windows = windows.assign(trace.steps)
-    order = np.argsort(event_windows, kind="stable")
-    boundaries = np.searchsorted(event_windows[order], np.arange(windows.n_windows + 1))
-
-    with obs.span(
-        "sim.replay",
-        n_windows=windows.n_windows,
-        n_steps=trace.n_steps,
-        method=schedule.method,
-        faults=True,
-    ):
-        for w in range(windows.n_windows):
-            with obs.span("sim.window", window=w) as window_span:
-                idx = order[boundaries[w] : boundaries[w + 1]]
-                delivered_before = report.n_delivered
-                _execute_faulted_window(
-                    machine, schedule, trace, model, w, idx, report,
-                    injector, retry, evacuate, track_links, spatial,
-                )
-                if spatial is not None:
-                    spatial.close_window(
-                        w, obs.tracer.now_us(), machine.locations(), all_vols
-                    )
-                if obs.enabled:
-                    obs.observe(
-                        "sim.window_cost", float(report.per_window_cost[w])
-                    )
-                    obs.observe(
-                        "sim.window_delivered",
-                        report.n_delivered - delivered_before,
-                    )
-                    window_span.set(
-                        fetches=int(len(idx)),
-                        delivered=report.n_delivered - delivered_before,
-                        down_nodes=len(injector.down_nodes(w)),
-                        cost=float(report.per_window_cost[w]),
-                    )
-        obs.count("sim.fetches", report.n_fetches)
-        obs.count("sim.moves", report.n_moves)
-        obs.count("faults.delivered", report.n_delivered)
-        obs.count("faults.retries", report.n_retries)
-        obs.count("faults.dropped", report.n_dropped)
-        obs.count("faults.unreachable", report.n_unreachable)
-        obs.count("faults.evacuated", report.n_evacuated)
-        obs.count("faults.lost", report.n_lost)
-        obs.count("faults.skipped_moves", report.n_skipped_moves)
-    if spatial is not None:
-        obs.spatial.add(spatial.finish())
-    return report
 
 
 def _execute_faulted_window(
@@ -378,11 +302,10 @@ def _execute_faulted_window(
 ) -> None:
     """Execute one window of a degraded replay (evacuate, move, fetch).
 
-    Shared verbatim between :func:`_replay_with_faults` and the
-    checkpointing :class:`~repro.sim.checkpoint.ReplayCursor`, so online
-    recovery observes exactly the per-window accounting of the offline
-    degraded replay.  The two optional hooks are the seams the
-    ``replicate`` recovery mode plugs into:
+    :meth:`~repro.sim.checkpoint.ReplayCursor.step` runs it for every
+    window under a fault plan, so offline degraded replays and online
+    recovery share one per-window accounting.  The two optional hooks
+    are the seams the ``replicate`` recovery mode plugs into:
 
     * ``on_unreachable(w, event, datum, proc, volume, router, alive)``
       may serve a fetch whose primary center is unreachable from a

@@ -33,6 +33,7 @@ import numpy as np
 from ..core import CostModel, Schedule
 from ..grid import XYRouter
 from ..trace import Trace
+from .replay import _check_inputs
 
 __all__ = ["TimingModel", "TimingReport", "estimate_execution_time"]
 
@@ -92,12 +93,8 @@ def estimate_execution_time(
 ) -> TimingReport:
     """Estimate the schedule's makespan window by window."""
     timing = timing or TimingModel()
+    _check_inputs(trace, schedule, model)
     windows = schedule.windows
-    if windows.n_steps != trace.n_steps:
-        raise ValueError("schedule windows do not span the trace")
-    if trace.n_data != schedule.n_data:
-        raise ValueError("schedule and trace disagree on n_data")
-
     router = XYRouter(model.topology)
     n_procs = model.n_procs
     n_windows = windows.n_windows
@@ -105,15 +102,13 @@ def estimate_execution_time(
     fetch_comm = np.zeros(n_windows)
     move_comm = np.zeros(n_windows)
 
-    event_windows = windows.assign(trace.steps)
     vols = model.volume_column(schedule.n_data)[trace.data]
 
-    for w in range(n_windows):
-        mask = event_windows == w
-        procs = trace.procs[mask]
-        data = trace.data[mask]
-        counts = trace.counts[mask]
-        volumes = counts * vols[mask]
+    for w, idx in enumerate(windows.group(trace.steps)):
+        procs = trace.procs[idx]
+        data = trace.data[idx]
+        counts = trace.counts[idx]
+        volumes = counts * vols[idx]
         centers = schedule.centers[data, w]
 
         work = np.zeros(n_procs)

@@ -99,6 +99,19 @@ class WindowSet:
         """Window index of each step in ``steps`` (vectorized)."""
         return np.searchsorted(self.starts, np.asarray(steps), side="right") - 1
 
+    def group(self, steps: np.ndarray) -> list[np.ndarray]:
+        """Indices into ``steps`` served by each window, ascending.
+
+        One stable argsort instead of a mask per window:
+        ``group(steps)[w]`` equals ``np.nonzero(assign(steps) == w)[0]``.
+        """
+        event_windows = self.assign(steps)
+        order = np.argsort(event_windows, kind="stable")
+        bounds = np.searchsorted(
+            event_windows[order], np.arange(self.n_windows + 1)
+        )
+        return [order[bounds[w] : bounds[w + 1]] for w in range(self.n_windows)]
+
     def merge(self, first: int, last: int) -> "WindowSet":
         """New WindowSet with windows ``first..last`` (inclusive) merged."""
         if not 0 <= first <= last < self.n_windows:

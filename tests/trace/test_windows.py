@@ -25,6 +25,15 @@ class TestWindowSet:
         ws = WindowSet(starts=np.array([0, 3, 5]), n_steps=9)
         assert ws.assign(np.array([0, 2, 3, 4, 5, 8])).tolist() == [0, 0, 1, 1, 2, 2]
 
+    def test_group_matches_per_window_masks(self):
+        ws = WindowSet(starts=np.array([0, 3, 5, 7]), n_steps=9)
+        steps = np.random.default_rng(0).integers(0, 9, size=40)
+        groups = ws.group(steps)
+        assert len(groups) == ws.n_windows
+        windows = ws.assign(steps)
+        for w, idx in enumerate(groups):
+            assert idx.tolist() == np.nonzero(windows == w)[0].tolist()
+
     def test_window_of_steps(self):
         ws = WindowSet(starts=np.array([0, 2]), n_steps=4)
         assert ws.window_of_steps().tolist() == [0, 0, 1, 1]
