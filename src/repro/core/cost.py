@@ -6,8 +6,10 @@ the transferred volume.  Moving datum ``d`` from center ``j`` to center
 ``k`` between windows costs ``dist(j, k) * volume(d)``.
 
 Given the reference tensor ``R[d, w, p]`` the cost of storing datum ``d``
-at *every* candidate center over *every* window is a single matrix
-product, ``R_d @ Dist``.  Volume scales a datum's reference and movement
+at *every* candidate center over *every* window is ``R_d @ Dist``.  The
+hop metric is a sum of per-axis 1-D distances, so that product is built
+from per-axis reference marginals in ``O(m * sum(n_a))`` per row instead
+of ``O(m**2)``.  Volume scales a datum's reference and movement
 terms alike, so it never changes which centers are optimal: the
 schedulers solve on the exact int64 tensor :meth:`CostModel.reference_costs`
 and volumes enter only where cost is reported
@@ -115,7 +117,20 @@ class CostModel:
         """
         if tensor.n_procs != self.n_procs:
             raise ValueError("reference tensor does not match the processor array")
-        return tensor.counts @ self.distances
+        counts = tensor.counts.reshape(
+            tensor.counts.shape[:2] + self.topology.shape
+        )
+        axes = list(range(counts.ndim))
+        # the metric is a sum of per-axis distances, so the cost of a center
+        # is a sum of per-axis terms: axis ``a``'s reference marginal times
+        # that axis's 1-D metric, broadcast along the other axes
+        costs = np.zeros((), dtype=np.int64)
+        for a, metric in enumerate(self.topology.axis_distances(), start=2):
+            marginal = np.einsum(counts, axes, [0, 1, a])  # (D, W, n_a)
+            costs = costs[..., None] + (marginal @ metric).reshape(
+                marginal.shape[:2] + (1,) * (a - 2) + (-1,)
+            )
+        return costs.reshape(tensor.counts.shape)
 
     def all_placement_costs(self, tensor: ReferenceTensor) -> np.ndarray:
         """Volume-weighted ``(n_data, n_windows, n_procs)`` cost tensor.

@@ -123,16 +123,17 @@ def reschedule_around_faults(
             costs = model.reference_costs(tensor)  # (D, W, m) int64
         tracker = _occupancy(capacity, n_data, n_windows)
         record = obs.provenance.recording
-        with obs.span("reschedule.capacity_walk"):
-            centers, potentials, masks = _walk(
-                costs,
-                model.distances,
-                tensor.data_priority_order(),
-                alive=alive,
-                tracker=tracker,
-                certify=certify,
-                keep_masks=certify or record,
-            )
+        centers, potentials, masks = _walk(
+            costs,
+            model.topology,
+            tensor.data_priority_order(),
+            obs=obs,
+            span="reschedule.capacity_walk",
+            alive=alive,
+            tracker=tracker,
+            certify=certify,
+            keep_masks=certify or record,
+        )
         meta = {"n_node_faults": len(plan.node_faults)}
         if record:
             record_decisions(
@@ -230,16 +231,17 @@ def reschedule_from_window(
             costs[:, 0] += model.distances[placement]
         tracker = _occupancy(capacity, n_data, n_suffix)
         record = obs.provenance.recording
-        with obs.span("reschedule.capacity_walk"):
-            suffix, potentials, masks = _walk(
-                costs,
-                model.distances,
-                tensor.data_priority_order(),
-                alive=alive,
-                tracker=tracker,
-                certify=certify,
-                keep_masks=certify or record,
-            )
+        suffix, potentials, masks = _walk(
+            costs,
+            model.topology,
+            tensor.data_priority_order(),
+            obs=obs,
+            span="reschedule.capacity_walk",
+            alive=alive,
+            tracker=tracker,
+            certify=certify,
+            keep_masks=certify or record,
+        )
         centers = schedule.centers.copy()
         centers[:, from_window:] = suffix
         meta = {

@@ -45,7 +45,7 @@ __all__ = ["SolveCache", "solve_key", "deep_freeze", "CACHE_KEY_VERSION"]
 
 #: Bump when the key derivation changes *or* when solver outputs change
 #: (centers, certificate format), so stale disk entries are never served.
-CACHE_KEY_VERSION = 2
+CACHE_KEY_VERSION = 3
 
 #: Options that never change the solved schedule and are therefore left
 #: out of the content address.

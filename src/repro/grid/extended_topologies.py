@@ -9,7 +9,7 @@ Beyond the paper's planar grid:
   links have different per-hop costs (e.g. wide row buses vs. narrow
   column wires).  The *metric* is weighted Manhattan distance; the
   *adjacency* (and the x-y router's paths) are the ordinary mesh links.
-  All schedulers consume only the distance matrix, so they transparently
+  All schedulers consume only the per-axis metric, so they transparently
   optimize for the asymmetric wires.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology, _validate_extents
+from .topology import Topology, _linear, _validate_extents
 
 __all__ = ["Mesh3D", "WeightedMesh2D"]
 
@@ -39,10 +39,8 @@ class Mesh3D(Topology):
     def shape(self) -> tuple[int, ...]:  # type: ignore[override]
         return (self.layers, self.rows, self.cols)
 
-    def distance_matrix(self) -> np.ndarray:
-        coords = self.all_coords()
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        return diff.sum(axis=2).astype(np.int64)
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        return (_linear(self.layers), _linear(self.rows), _linear(self.cols))
 
 
 @dataclass(frozen=True, repr=False)
@@ -71,11 +69,11 @@ class WeightedMesh2D(Topology):
     def shape(self) -> tuple[int, ...]:  # type: ignore[override]
         return (self.rows, self.cols)
 
-    def distance_matrix(self) -> np.ndarray:
-        coords = self.all_coords()
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        weights = np.array([self.row_weight, self.col_weight])
-        return (diff * weights[None, None, :]).sum(axis=2).astype(np.int64)
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        return (
+            _linear(self.rows, self.row_weight),
+            _linear(self.cols, self.col_weight),
+        )
 
     def neighbors(self, pid: int) -> list[int]:  # type: ignore[override]
         coords = self.all_coords()

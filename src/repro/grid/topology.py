@@ -27,9 +27,11 @@ __all__ = ["Topology", "Mesh1D", "Mesh2D", "Torus2D"]
 class Topology:
     """Abstract base for processor-array topologies.
 
-    Subclasses must define :attr:`shape` and :meth:`distance_matrix`.
-    Everything else (pid/coordinate conversion, iteration, neighbor
-    queries) is derived.
+    Subclasses must define :attr:`shape` and :meth:`axis_distances`, the
+    metric as one 1-D distance matrix per grid axis (x-y routing makes
+    every hop count a sum of per-axis distances).  Everything else
+    (pid/coordinate conversion, iteration, the full distance matrix,
+    neighbor queries) is derived.
     """
 
     #: grid extents, e.g. ``(rows, cols)`` for a 2-D mesh.
@@ -78,9 +80,21 @@ class Topology:
 
     # -- metric --------------------------------------------------------------
 
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        """Per-axis ``(extent, extent)`` int64 distance matrices.
+
+        The hop distance between two processors is the sum over axes of
+        ``axis_distances()[a][coord_a(p), coord_a(q)]``.
+        """
+        raise NotImplementedError
+
     def distance_matrix(self) -> np.ndarray:
         """``(n, n)`` int64 matrix of pairwise hop distances."""
-        raise NotImplementedError
+        coords = self.all_coords()
+        out = np.zeros((self.n_procs, self.n_procs), dtype=np.int64)
+        for axis, metric in enumerate(self.axis_distances()):
+            out += metric[coords[:, axis, None], coords[None, :, axis]]
+        return out
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between processors ``a`` and ``b``."""
@@ -96,6 +110,12 @@ class Topology:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dims = "x".join(str(e) for e in self.shape)
         return f"{type(self).__name__}({dims})"
+
+
+def _linear(extent: int, weight: int = 1) -> np.ndarray:
+    """``weight * |i - j|`` over ``extent`` positions: one mesh axis."""
+    ids = np.arange(extent, dtype=np.int64)
+    return int(weight) * np.abs(ids[:, None] - ids[None, :])
 
 
 def _validate_extents(*extents: int) -> None:
@@ -117,9 +137,8 @@ class Mesh1D(Topology):
     def shape(self) -> tuple[int, ...]:  # type: ignore[override]
         return (self.n,)
 
-    def distance_matrix(self) -> np.ndarray:
-        ids = np.arange(self.n)
-        return np.abs(ids[:, None] - ids[None, :]).astype(np.int64)
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        return (_linear(self.n),)
 
 
 @dataclass(frozen=True, repr=False)
@@ -140,10 +159,8 @@ class Mesh2D(Topology):
     def shape(self) -> tuple[int, ...]:  # type: ignore[override]
         return (self.rows, self.cols)
 
-    def distance_matrix(self) -> np.ndarray:
-        coords = self.all_coords()
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        return diff.sum(axis=2).astype(np.int64)
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        return (_linear(self.rows), _linear(self.cols))
 
 
 @dataclass(frozen=True, repr=False)
@@ -163,9 +180,9 @@ class Torus2D(Topology):
     def shape(self) -> tuple[int, ...]:  # type: ignore[override]
         return (self.rows, self.cols)
 
-    def distance_matrix(self) -> np.ndarray:
-        coords = self.all_coords()
-        diff = np.abs(coords[:, None, :] - coords[None, :, :])
-        extents = np.array(self.shape)
-        wrapped = np.minimum(diff, extents[None, None, :] - diff)
-        return wrapped.sum(axis=2).astype(np.int64)
+    def axis_distances(self) -> tuple[np.ndarray, ...]:
+        def ring(extent: int) -> np.ndarray:
+            diff = _linear(extent)
+            return np.minimum(diff, extent - diff)
+
+        return (ring(self.rows), ring(self.cols))

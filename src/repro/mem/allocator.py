@@ -87,21 +87,29 @@ class OccupancyTracker:
             )
         self._occupancy[first : last + 1, proc] += 1
 
+    def _full_along(self, centers: np.ndarray) -> np.ndarray:
+        """``(n_windows,)`` True where the path's processor is full."""
+        taken = self._occupancy[np.arange(self.n_windows), centers]
+        return taken >= self.plan.capacities[centers]
+
+    def path_fits(self, centers: np.ndarray) -> bool:
+        """True when every window of a center path has a free slot."""
+        return not self._full_along(np.asarray(centers)).any()
+
     def claim_path(self, centers: np.ndarray) -> None:
         """Consume one slot per window along a per-window center path."""
         centers = np.asarray(centers)
         if centers.shape != (self.n_windows,):
             raise ValueError("path must assign one center per window")
-        mask = self.available_mask()
-        rows = np.arange(self.n_windows)
-        if not mask[rows, centers].all():
-            bad = int(rows[~mask[rows, centers]][0])
+        full = self._full_along(centers)
+        if full.any():
+            bad = int(np.argmax(full))
             raise CapacityError(
                 f"processor {int(centers[bad])} full in window {bad}",
                 window=bad,
                 processor=int(centers[bad]),
             )
-        np.add.at(self._occupancy, (rows, centers), 1)
+        self._occupancy[np.arange(self.n_windows), centers] += 1
 
 
 def first_available(cost_row: np.ndarray, available: np.ndarray) -> int:

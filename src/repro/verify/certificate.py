@@ -30,7 +30,9 @@ and separable along the mesh axes, which
 :func:`repro.theory.is_separable_convex` verifies on sampled rows.  A
 violation does not invalidate the LP-duality proof above, but it means
 the cost model left the regime the paper's monotonicity argument (and
-the SCDS/LOMCDS heuristics) assume — worth a warning.
+the SCDS/LOMCDS heuristics) assume — worth a warning.  Topologies outside
+the lemmas' scope (anything but :class:`~repro.grid.Mesh1D` and
+:class:`~repro.grid.Mesh2D`) skip the cross-check.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from ..core import CostModel
 from ..core.reschedule import alive_window_mask
 from ..diagnostics import VER005, VER006, VER007, VER011, Diagnostic, Severity
 from ..faults import FaultPlan
+from ..grid import Mesh1D, Mesh2D
 from ..theory import is_separable_convex
 from ..trace import ReferenceTensor
 from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit
@@ -292,7 +295,13 @@ def _check_tightness(
 
 
 def _check_theory(schedule, tensor, model, from_window, diagnostics):
-    """VER011: sampled cost rows must satisfy the Lemma 1 preconditions."""
+    """VER011: sampled cost rows must satisfy the Lemma 1 preconditions.
+
+    Lemma 1 / Theorem 2 speak of 1-D and 2-D meshes only; on any other
+    topology there is nothing to cross-check.
+    """
+    if not isinstance(model.topology, (Mesh1D, Mesh2D)):
+        return
     costs = model.reference_costs(tensor)
     referenced = costs.sum(axis=2) > 0  # (D, W): rows with any cost mass
     checked = 0

@@ -166,3 +166,44 @@ def test_dp_peak_memory_is_linear_in_the_tensor(certify, max_ratio):
     finally:
         tracemalloc.stop()
     assert peak <= max_ratio * tensor.counts.nbytes
+
+
+@pytest.mark.parametrize("capacity", [False, True], ids=["free", "capacity"])
+def test_single_datum_solve_allocates_no_dense_temporary(capacity):
+    # one 16x16 datum is solved with per-axis passes and column
+    # backtracking: nothing the size of the (m, m) distance matrix exists
+    mesh = Mesh2D(16, 16)
+    m = mesh.n_procs
+    counts = np.random.default_rng(5).integers(0, 3, size=(1, 8, m))
+    trace, windows = trace_from_counts(counts, mesh)
+    tensor = build_reference_tensor(trace, windows)
+    model = CostModel(mesh)
+    plan = CapacityPlan.paper_rule(1, m) if capacity else None
+    tracemalloc.start()
+    try:
+        schedule(tensor, model, algorithm="gomcds", capacity=plan, certify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8
+
+
+def test_capacity_walk_reports_claimed_and_resolved_paths(mesh44):
+    from repro.obs import Instrumentation
+
+    tensor = benchmark(4, 16, mesh44).reference_tensor()
+    model = CostModel(mesh44)
+    capacity = CapacityPlan.paper_rule(tensor.n_data, mesh44.n_procs)
+    instr = Instrumentation.started()
+    capped = schedule(
+        tensor, model, algorithm="gomcds", capacity=capacity, instrument=instr
+    )
+    (walk,) = [s for s in instr.tracer.spans if s.name == "gomcds.capacity_walk"]
+    claimed, resolved = walk.attrs["claimed_free"], walk.attrs["resolved"]
+    assert claimed + resolved == tensor.n_data
+    assert claimed > 0 and resolved > 0
+    assert instr.metrics.counters["gomcds.masked_resolves"].value == resolved
+    # only a re-solved datum can leave its free-optimal path
+    free = schedule(tensor, model, algorithm="gomcds")
+    moved = (capped.centers != free.centers).any(axis=1).sum()
+    assert moved <= resolved

@@ -196,7 +196,7 @@ def test_entry_written_under_v1_key_is_not_served(tmp_path, small, monkeypatch):
     import repro.engine.cache as cache_module
 
     tensor, model = small
-    assert cache_module.CACHE_KEY_VERSION == 2
+    assert cache_module.CACHE_KEY_VERSION == 3
     with monkeypatch.context() as patched:
         patched.setattr(cache_module, "CACHE_KEY_VERSION", 1)
         stale_key = solve_key(tensor, model)

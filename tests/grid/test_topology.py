@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.grid import Mesh2D, Torus2D
+from repro.grid import Mesh1D, Mesh2D, Mesh3D, Torus2D, WeightedMesh2D
 
 
 class TestMesh2D:
@@ -105,3 +105,51 @@ class TestTorus2D:
         # On a 2-wide torus both directions reach the same node: distance 1.
         t = Torus2D(2, 2)
         assert len(t.neighbors(0)) == 2
+
+
+class TestAxisMetric:
+    """``distance_matrix()`` is derived from the per-axis factors."""
+
+    @staticmethod
+    def explicit(topology, per_axis):
+        coords = topology.all_coords()
+        n = topology.n_procs
+        out = np.zeros((n, n), dtype=np.int64)
+        for p in range(n):
+            for q in range(n):
+                out[p, q] = sum(
+                    per_axis(axis, abs(int(a) - int(b)))
+                    for axis, (a, b) in enumerate(zip(coords[p], coords[q]))
+                )
+        return out
+
+    def test_torus(self):
+        topo = Torus2D(3, 5)
+        expected = self.explicit(
+            topo, lambda axis, d: min(d, topo.shape[axis] - d)
+        )
+        assert topo.distance_matrix().dtype == np.int64
+        assert np.array_equal(topo.distance_matrix(), expected)
+
+    def test_weighted_mesh(self):
+        topo = WeightedMesh2D(2, 3, 2, 3)
+        expected = self.explicit(topo, lambda axis, d: (2, 3)[axis] * d)
+        assert np.array_equal(topo.distance_matrix(), expected)
+
+    def test_mesh3d(self):
+        topo = Mesh3D(2, 2, 3)
+        expected = self.explicit(topo, lambda axis, d: d)
+        assert np.array_equal(topo.distance_matrix(), expected)
+
+    @pytest.mark.parametrize(
+        "topo",
+        [Mesh1D(4), Mesh2D(2, 3), Torus2D(3, 5), WeightedMesh2D(2, 3, 2, 3),
+         Mesh3D(2, 2, 3)],
+        ids=repr,
+    )
+    def test_one_square_int64_factor_per_axis(self, topo):
+        factors = topo.axis_distances()
+        assert len(factors) == len(topo.shape)
+        for factor, extent in zip(factors, topo.shape):
+            assert factor.shape == (extent, extent)
+            assert factor.dtype == np.int64

@@ -11,6 +11,7 @@ import repro
 from repro.core import CostModel, reschedule_around_faults, reschedule_from_window
 from repro.diagnostics import VER005, VER006, VER007, Severity
 from repro.faults import FaultPlan, NodeFault
+from repro.grid import Mesh3D, Torus2D, WeightedMesh2D
 from repro.mem import CapacityPlan
 from repro.verify import certificate_of, check_certificate
 from repro.workloads import benchmark
@@ -138,3 +139,21 @@ def test_restricted_to_keeps_certificate_consistent(certified):
     subtensor = ReferenceTensor(tensor.counts[ids], tensor.windows)
     diags = check_certificate(sub, subtensor, model)
     assert not [d for d in diags if d.severity == Severity.ERROR]
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [Torus2D(4, 4), WeightedMesh2D(4, 4, 1, 2), Mesh3D(2, 2, 4)],
+    ids=repr,
+)
+def test_theory_check_skips_topologies_outside_lemma1(topo):
+    # VER011 samples Lemma 1 / Theorem 2 preconditions, which speak of
+    # 1-D and 2-D meshes only; other topologies certify without it
+    wl = benchmark(1, 8, topo)
+    tensor = wl.reference_tensor()
+    model = CostModel(topo)
+    capacity = CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
+    certified = repro.schedule(
+        tensor, model, algorithm="gomcds", capacity=capacity, certify=True
+    )
+    assert check_certificate(certified, tensor, model, require=True) == []
