@@ -190,8 +190,9 @@ VER003 = "VER003"
 # Dead data movement: a relocation that serves no reference before the
 # datum moves again and is strictly costlier than skipping the stop.
 VER004 = "VER004"
-# Optimality certificate missing or malformed (wrong shapes/fields, or a
-# mask that admits a processor the fault plan takes down).
+# Optimality certificate missing or malformed (wrong shapes/fields, a
+# mask that admits a processor the fault plan takes down, or a reference
+# tensor whose shape disagrees with the schedule and cost model).
 VER005 = "VER005"
 # Certificate potentials are dual-infeasible: some potential exceeds the
 # best incoming value, so they prove no lower bound at all.

@@ -3,6 +3,7 @@ caught by its own code."""
 
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import repro
 from repro.core import CostModel, reschedule_around_faults, reschedule_from_window
 from repro.diagnostics import VER005, VER006, VER007, Severity
 from repro.faults import FaultPlan, NodeFault
-from repro.grid import Mesh3D, Torus2D, WeightedMesh2D
+from repro.grid import Mesh2D, Mesh3D, Torus2D, WeightedMesh2D
 from repro.mem import CapacityPlan
+from repro.trace import ReferenceTensor, WindowSet
 from repro.verify import certificate_of, check_certificate
 from repro.workloads import benchmark
 
@@ -157,3 +159,45 @@ def test_theory_check_skips_topologies_outside_lemma1(topo):
         tensor, model, algorithm="gomcds", capacity=capacity, certify=True
     )
     assert check_certificate(certified, tensor, model, require=True) == []
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 4)],
+    ids=["more-data", "fewer-data", "more-windows", "fewer-windows", "procs"],
+)
+def test_mismatched_tensor_is_ver005(certified, delta):
+    # the tensor must describe the schedule's data and windows on the
+    # model's array; anything else is a coded error, not a crash
+    tensor, model, _, schedule = certified
+    shape = np.add(tensor.counts.shape, delta)
+    other = ReferenceTensor(
+        np.resize(tensor.counts, shape),
+        WindowSet(np.arange(shape[1]), int(shape[1])),
+    )
+    diags = check_certificate(schedule, other, model)
+    assert _codes(diags) == {VER005}
+    assert "reference tensor" in diags[0].message
+
+
+def test_check_peak_memory_is_linear_in_the_potentials():
+    # the dual check walks blocks of data with per-axis passes and keeps
+    # one int64 cost tensor: no (D, m, m) broadcast (134 MB for one window
+    # here) and no float64 copy of the cost tensor
+    mesh = Mesh2D(16, 16)
+    wl = benchmark(1, 16, mesh)
+    tensor = wl.reference_tensor()
+    model = CostModel(mesh)
+    capacity = CapacityPlan.paper_rule(wl.n_data, mesh.n_procs)
+    schedule = repro.schedule(
+        tensor, model, algorithm="gomcds", capacity=capacity, certify=True
+    )
+    potentials = certificate_of(schedule)["potentials"]
+    tracemalloc.start()
+    try:
+        diags = check_certificate(schedule, tensor, model, require=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diags == []
+    assert peak <= 2.5 * potentials.nbytes
