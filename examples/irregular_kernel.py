@@ -33,7 +33,7 @@ def main() -> None:
 
     # --- 1. follow the hottest datum ------------------------------------
     hot = int(tensor.data_priority_order()[0])
-    costs = model.all_placement_costs(tensor)[hot]
+    costs = model.reference_costs(tensor)[hot]
     print(f"hottest datum: id {hot} = element "
           f"{np.unravel_index(hot, workload.data_shape)}")
     # one batched fan-out solves all three algorithms (docs/performance.md)

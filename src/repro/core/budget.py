@@ -6,12 +6,18 @@ serialized phase.  This variant finds the cheapest center path using at
 most ``max_moves`` relocations per datum — one extra DP dimension on
 Algorithm 2:
 
-    ``f[b, w, k]`` = best cost through window ``w`` ending at center
-    ``k`` having moved ``b`` times,
+    ``F[w, k, b]`` = best cost through window ``w`` ending at center
+    ``k`` having moved at most ``b`` times,
 
-with ``f[b, w, k] = C[w, k] + min(f[b, w-1, k],
-min_{j != k} f[b-1, w-1, j] + vol*Dist[j, k])``.  Complexity
-``O(W·m²·B)`` per datum.
+with ``F[w, :, b] = C[w] + min(F[w-1, :, b], relax(F[w-1, :, b-1]))``
+where ``relax(g)[k] = min_j g[j] + Dist[j, k]`` is GOMCDS's per-axis
+min-plus pass (:class:`~repro.core.gomcds._Moves`).  Complexity
+``O(W·m·Σnₐ·B)`` per datum.  Like GOMCDS it solves on the volume-free
+int64 :meth:`~repro.core.cost.CostModel.reference_costs`, so every DP
+value is an exact integer and volumes never change a path.  Ties break
+toward the fewest moves, then staying before moving, then the lowest
+pid; the capacity-constrained walk is GOMCDS's
+(:func:`~repro.core.gomcds._walk`).
 
 ``max_moves = 0`` reduces to SCDS (per-datum optimal static center);
 ``max_moves >= W-1`` reduces to GOMCDS.  Sweeping the budget traces the
@@ -20,11 +26,15 @@ cost-vs-movement Pareto frontier (ablation K).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from ..mem import CapacityError, CapacityPlan, OccupancyTracker
+from ..mem import CapacityError, CapacityPlan
+from ..obs import resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .gomcds import _BLOCK, _Moves, _occupancy, _walk
 from .schedule import Schedule
 
 __all__ = ["gomcds_budgeted", "movement_frontier"]
@@ -32,57 +42,47 @@ __all__ = ["gomcds_budgeted", "movement_frontier"]
 _INF = np.inf
 
 
-def _budgeted_path(
-    window_costs: np.ndarray,
-    move_costs: np.ndarray,
-    max_moves: int,
-    allowed: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Optimal center path with at most ``max_moves`` relocations."""
-    n_windows, n_procs = window_costs.shape
-    budget = min(max_moves, n_windows - 1)
-    costs = window_costs.astype(np.float64, copy=True)
-    if allowed is not None:
-        costs[~allowed] = _INF
+def _solve_budgeted(costs, moves: _Moves, budget: int, allowed=None):
+    """Cheapest paths with at most ``budget`` moves over ``costs``' leading
+    ``(W, m)`` axes; trailing axes are a batch of data.
 
-    # f[b, k]; backpointers store (prev_budget, prev_center).
-    f = np.full((budget + 1, n_procs), _INF)
-    f[0] = costs[0]
-    back = np.zeros((n_windows, budget + 1, n_procs, 2), dtype=np.int64)
+    Follows :func:`~repro.core.gomcds._solve`'s contract, but returns no
+    potentials: ``(paths, None)``.
+    """
+    costs = np.asarray(costs) if allowed is None else np.where(allowed, costs, _INF)
+    n_windows, n_procs, batch = costs.shape[0], costs.shape[1], costs.shape[2:]
+    n = int(np.prod(batch))
+    costs = costs.reshape(n_windows, n_procs, n)  # one flat batch axis
+    f = np.empty((n_windows, n_procs, budget + 1, n))
+    f[0] = costs[0, :, None]
     for w in range(1, n_windows):
-        new = np.full_like(f, _INF)
-        for b in range(budget + 1):
-            # stay put
-            stay = f[b]
-            choice_prev = np.full(n_procs, b)
-            choice_center = np.arange(n_procs)
-            best = stay.copy()
-            if b > 0:
-                transition = f[b - 1][:, None] + move_costs  # (from, to)
-                np.fill_diagonal(transition, _INF)  # a move must move
-                move_best = transition.min(axis=0)
-                move_from = transition.argmin(axis=0)
-                better = move_best < best
-                best = np.where(better, move_best, best)
-                choice_prev = np.where(better, b - 1, choice_prev)
-                choice_center = np.where(better, move_from, choice_center)
-            new[b] = best + costs[w]
-            back[w, b, :, 0] = choice_prev
-            back[w, b, :, 1] = choice_center
-        f = new
-
-    flat = int(np.argmin(f))
-    b, k = np.unravel_index(flat, f.shape)
-    total = float(f[b, k])
-    if not np.isfinite(total):
+        f[w] = f[w - 1]
+        if budget:
+            moved = moves.relax(
+                f[w - 1, :, :-1].reshape(moves.shape + (budget, n))
+            ).reshape(n_procs, budget, n)
+            np.minimum(f[w, :, 1:], moved, out=f[w, :, 1:])
+        f[w] += costs[w, :, None]
+    best = f[-1, :, -1].min(axis=0)
+    if not np.isfinite(best).all():
         raise CapacityError("no feasible center path under the constraints")
-    path = np.empty(n_windows, dtype=np.int64)
-    b, k = int(b), int(k)
-    path[-1] = k
+    # end on the fewest moves that reach the optimum, then the lowest pid
+    cols = np.arange(n)
+    b = (f[-1].min(axis=0) == best).argmax(axis=0)
+    k = f[-1][:, b, cols].argmin(axis=0)
+    paths = np.empty((n_windows, n), dtype=np.int64)
+    paths[-1] = k
     for w in range(n_windows - 1, 0, -1):
-        b, k = (int(x) for x in back[w, b, k])
-        path[w - 1] = k
-    return path, total
+        # stay in layer b when staying reproduces the cell's value;
+        # otherwise take the lowest-pid cheapest move out of layer b-1
+        prev = f[w - 1]
+        moved = prev[k, b, cols] + costs[w, k, cols] != f[w, k, b, cols]
+        if moved.any():
+            i = cols[moved]
+            b[i] -= 1
+            k[i] = (prev[:, b[i], i] + moves.into(k[i])).argmin(axis=0)
+        paths[w - 1] = k
+    return paths.reshape((n_windows,) + batch), None
 
 
 def gomcds_budgeted(
@@ -95,24 +95,22 @@ def gomcds_budgeted(
     if max_moves < 0:
         raise ValueError("max_moves must be non-negative")
     n_data, n_windows = tensor.n_data, tensor.n_windows
-    costs = model.all_placement_costs(tensor)
-    dist = model.distances.astype(np.float64)
-    centers = np.empty((n_data, n_windows), dtype=np.int64)
-
-    tracker = None
-    order = np.arange(n_data)
-    if capacity is not None:
-        capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=n_windows)
-        order = tensor.data_priority_order()
-
-    for d in order:
-        move = dist * model.volume(int(d))
-        allowed = None if tracker is None else tracker.available_mask()
-        path, _ = _budgeted_path(costs[d], move, max_moves, allowed)
-        if tracker is not None:
-            tracker.claim_path(path)
-        centers[d] = path
+    budget = min(max_moves, n_windows - 1)
+    tracker = _occupancy(capacity, n_data, n_windows)
+    centers, _, _ = _walk(
+        model.reference_costs(tensor),
+        partial(
+            _solve_budgeted,
+            moves=_Moves(model.topology.axis_distances()),
+            budget=budget,
+        ),
+        None if tracker is None else tensor.data_priority_order(),
+        obs=resolve(None),
+        span="budget.dp_sweep" if tracker is None else "budget.capacity_walk",
+        # keep the (W, m, B+1) table per block at GOMCDS's (W, m) size
+        block=max(1, _BLOCK // (budget + 1)),
+        tracker=tracker,
+    )
     return Schedule(
         centers=centers,
         windows=tensor.windows,

@@ -10,10 +10,11 @@ at *every* candidate center over *every* window is ``R_d @ Dist``.  The
 hop metric is a sum of per-axis 1-D distances, so that product is built
 from per-axis reference marginals in ``O(m * sum(n_a))`` per row instead
 of ``O(m**2)``.  Volume scales a datum's reference and movement
-terms alike, so it never changes which centers are optimal: the
-schedulers solve on the exact int64 tensor :meth:`CostModel.reference_costs`
-and volumes enter only where cost is reported
-(:func:`repro.core.evaluate.per_datum_costs`).
+terms alike, so it never changes which centers are optimal for that
+datum: every per-datum pass solves on the exact int64 tensor
+:meth:`CostModel.reference_costs` with plain :attr:`CostModel.distances`
+for moves, and volumes enter only where cost is traded across data or
+reported (:func:`repro.core.evaluate.per_datum_costs`).
 """
 
 from __future__ import annotations
@@ -83,37 +84,12 @@ class CostModel:
             )
         return self.volumes
 
-    def placement_costs(self, ref_counts: np.ndarray, d: int | None = None) -> np.ndarray:
-        """Cost of every candidate center for one datum.
-
-        Parameters
-        ----------
-        ref_counts:
-            ``(n_windows, n_procs)`` reference-count matrix of the datum.
-        d:
-            Datum id, used only to look up its volume (ignored when the
-            model is unit-volume).
-
-        Returns
-        -------
-        ``(n_windows, n_procs)`` float array: entry ``(w, c)`` is the total
-        reference cost of window ``w`` if the datum sits at processor ``c``.
-        """
-        counts = np.asarray(ref_counts)
-        if counts.ndim == 1:
-            counts = counts[None, :]
-        if counts.shape[-1] != self.n_procs:
-            raise ValueError("reference counts do not match the processor array")
-        costs = counts @ self.distances
-        vol = 1.0 if (self.volumes is None or d is None) else self.volume(d)
-        return costs * vol
-
     def reference_costs(self, tensor: ReferenceTensor) -> np.ndarray:
         """Volume-free ``(n_data, n_windows, n_procs)`` int64 cost tensor.
 
         Entry ``(d, w, c)`` is the hop count of window ``w``'s references
-        to datum ``d`` if it sits at ``c`` — the exact domain every
-        scheduler solves in.
+        to datum ``d`` if it sits at ``c`` — the one cost domain every
+        scheduler and per-datum pass solves in.
         """
         if tensor.n_procs != self.n_procs:
             raise ValueError("reference tensor does not match the processor array")
@@ -128,24 +104,6 @@ class CostModel:
         for a, metric in enumerate(self.topology.axis_distances(), start=2):
             marginal = np.einsum(counts, axes, [0, 1, a])  # (D, W, n_a)
             costs = costs[..., None] + (marginal @ metric).reshape(
-                marginal.shape[:2] + (1,) * (a - 2) + (-1,)
+                marginal.shape[:2] + (1,) * (a - 2) + metric.shape[1:]
             )
         return costs.reshape(tensor.counts.shape)
-
-    def all_placement_costs(self, tensor: ReferenceTensor) -> np.ndarray:
-        """Volume-weighted ``(n_data, n_windows, n_procs)`` cost tensor.
-
-        For passes that trade cost *across* data (budgeted GOMCDS,
-        refinement, grouping); the schedulers use :meth:`reference_costs`.
-        """
-        costs = self.reference_costs(tensor)
-        return costs * self.volume_column(tensor.n_data)[:, None, None]
-
-    def movement_cost(self, d: int, src: int, dst: int) -> float:
-        """Cost of relocating datum ``d`` from ``src`` to ``dst``."""
-        return float(self.distances[src, dst]) * self.volume(d)
-
-    def movement_cost_matrix(self, d: int | None = None) -> np.ndarray:
-        """``(n, n)`` relocation cost between any two centers for datum ``d``."""
-        vol = 1.0 if (self.volumes is None or d is None) else self.volume(d)
-        return self.distances * vol

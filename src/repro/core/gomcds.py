@@ -206,14 +206,21 @@ def _occupancy(
     return OccupancyTracker(capacity, n_windows=n_windows)
 
 
+def _solver(topology, kernel: str = "numpy"):
+    """The per-block path solver of ``kernel`` over ``topology``'s hops."""
+    if kernel == "python":
+        return partial(_solve_python, dist=cached_distance_matrix(topology))
+    return partial(_solve, moves=_Moves(topology.axis_distances()))
+
+
 def _walk(
     costs: np.ndarray,
-    topology,
+    solve,
     order,
     *,
     obs,
     span: str,
-    kernel: str = "numpy",
+    block: int = _BLOCK,
     alive: np.ndarray | None = None,
     tracker: OccupancyTracker | None = None,
     certify: bool = False,
@@ -221,12 +228,13 @@ def _walk(
 ):
     """Solve each datum's cost-graph and claim its path, inside ``span``.
 
-    The one path-solve walk behind GOMCDS and both reschedulers.
-    ``costs`` is ``(D, W, m)``; moves cost the ``topology``'s hop
-    distance.  A datum's admissible cells are the static ``alive`` mask
-    intersected with the ``tracker``'s free slots, both optional.
+    The one path-solve walk behind GOMCDS, both reschedulers and budgeted
+    GOMCDS.  ``costs`` is ``(D, W, m)``; ``solve(costs, allowed=...)``
+    is a path solver with :func:`_solve`'s contract (see :func:`_solver`).
+    A datum's admissible cells are the static ``alive`` mask intersected
+    with the ``tracker``'s free slots, both optional.
 
-    Every datum is first solved under ``alive`` alone, ``_BLOCK`` data at
+    Every datum is first solved under ``alive`` alone, ``block`` data at
     a time.  With a ``tracker`` the walk then goes through ``order``,
     claims each free path that still fits, and re-solves under the full
     mask only the data whose free path hits a full cell.  That is exact:
@@ -240,25 +248,20 @@ def _walk(
     ``keep_masks`` (otherwise ``None``; masks need ``alive`` or
     ``tracker``).
     """
-    if kernel == "python":
-        solve = partial(_solve_python, dist=cached_distance_matrix(topology))
-    else:
-        solve = partial(_solve, moves=_Moves(topology.axis_distances()))
-
     n_data = len(costs)
     centers = np.empty(costs.shape[:2], dtype=np.int64)
     potentials = np.empty(costs.shape) if certify else None
     masks = np.empty(costs.shape, dtype=bool) if keep_masks else None
     with obs.span(span) as walk:
-        for lo in range(0, n_data, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
+        for lo in range(0, n_data, block):
+            rows = slice(lo, lo + block)
             paths, solved = solve(
-                np.moveaxis(costs[block], 0, -1),
+                np.moveaxis(costs[rows], 0, -1),
                 allowed=None if alive is None else alive[..., None],
             )
-            centers[block] = paths.T
+            centers[rows] = paths.T
             if certify:
-                potentials[block] = np.moveaxis(solved, -1, 0)
+                potentials[rows] = np.moveaxis(solved, -1, 0)
             del solved  # one block's potential table alive at a time
         if tracker is None:
             if masks is not None:
@@ -362,11 +365,10 @@ def gomcds(
         tracker = _occupancy(capacity, n_data, n_windows)
         centers, potentials, masks = _walk(
             costs,
-            model.topology,
+            _solver(model.topology, kernel),
             tensor.data_priority_order() if tracker is not None else None,
             obs=obs,
             span="gomcds.dp_sweep" if tracker is None else "gomcds.capacity_walk",
-            kernel=kernel,
             tracker=tracker,
             certify=certify,
             keep_masks=tracker is not None and (certify or record),

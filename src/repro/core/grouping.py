@@ -219,11 +219,15 @@ def grouped_schedule(
     ``assign_method`` — defaulting to the same — picks the final centers
     on the grouped windows: ``"local"`` per-group optima (LOMCDS on the
     new windows), ``"global"`` the cost-graph shortest path (GOMCDS on
-    the new windows).
+    the new windows).  Every comparison is in exact integer hops on
+    :meth:`~repro.core.cost.CostModel.reference_costs`: a datum's volume
+    scales all of its costs alike, so it never changes a partition or a
+    center.
     """
     n_data, n_windows = tensor.n_data, tensor.n_windows
     assign_method = center_method if assign_method is None else assign_method
-    costs = model.all_placement_costs(tensor)  # (D, W, m)
+    costs = model.reference_costs(tensor)  # (D, W, m) int64
+    move = model.distances
     centers = np.empty((n_data, n_windows), dtype=np.int64)
     partitions: dict[int, list[Interval]] = {}
 
@@ -233,7 +237,6 @@ def grouped_schedule(
         tracker = OccupancyTracker(capacity, n_windows=n_windows)
 
     for d in tensor.data_priority_order():
-        move = model.movement_cost_matrix(d)
         if strategy == "greedy":
             partition = greedy_grouping(costs[d], move, center_method)
         elif strategy == "optimal":

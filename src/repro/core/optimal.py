@@ -41,15 +41,16 @@ def optimal_static_placement(
     """The provably cheapest single-center-per-datum schedule.
 
     Without a capacity plan this equals unconstrained SCDS (each datum at
-    its merged-window optimum).  With one, the slot-expanded assignment
-    problem is solved exactly.
+    its merged-window optimum, in exact integer hops, so under any
+    volumes).  With one, the slot-expanded assignment problem is solved
+    exactly, with each datum's cost weighted by its volume.
     """
-    totals = model.all_placement_costs(tensor).sum(axis=1)  # (D, m)
+    hops = model.reference_costs(tensor).sum(axis=1)  # (D, m) int64
     n_data = tensor.n_data
 
     if capacity is None:
         return Schedule.static(
-            totals.argmin(axis=1), tensor.windows, method="OPT-STATIC"
+            hops.argmin(axis=1), tensor.windows, method="OPT-STATIC"
         )
 
     capacity.check_feasible(n_data)
@@ -63,6 +64,9 @@ def optimal_static_placement(
     slot_owner = np.repeat(
         np.arange(capacity.n_procs), capacity.capacities
     )  # (total_slots,)
+    # slots are traded across data, so here each datum's hops weigh by
+    # its volume
+    totals = hops * model.volume_column(n_data)[:, None]
     cost_matrix = totals[:, slot_owner]  # (D, total_slots)
     rows, cols = linear_sum_assignment(cost_matrix)
     placement = np.empty(n_data, dtype=np.int64)

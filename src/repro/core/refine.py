@@ -11,8 +11,12 @@ steepest-descent local search over two move types, both capacity-safe:
 
 Each accepted move strictly decreases the exact objective (reference
 cost + movement cost), so termination is guaranteed; the result never
-degrades the input schedule.  Used by ablation H to measure how much the
-greedy processor-list rule leaves on the table.
+degrades the input schedule.  A relocation touches one datum, so it is
+scored in that datum's exact integer hops on
+:meth:`~repro.core.cost.CostModel.reference_costs`; a swap trades two
+data's slots, so it weighs each datum's hop delta by its volume.  Used
+by ablation H to measure how much the greedy processor-list rule leaves
+on the table.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from ..mem import CapacityPlan
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .evaluate import evaluate_schedule
 from .schedule import Schedule
 
 __all__ = ["RefineResult", "refine_schedule"]
@@ -51,21 +56,21 @@ def _delta_for_center_change(
     w: int,
     new_center: int,
     cost_tensor: np.ndarray,
-    move: np.ndarray,
-) -> float:
-    """Exact objective change from setting ``centers[d, w] = new_center``."""
+    dist: np.ndarray,
+) -> int:
+    """Exact hop change from setting ``centers[d, w] = new_center``."""
     old = centers[d, w]
     if old == new_center:
-        return 0.0
+        return 0
     delta = cost_tensor[d, w, new_center] - cost_tensor[d, w, old]
     n_windows = centers.shape[1]
     if w > 0:
         prev = centers[d, w - 1]
-        delta += move[prev, new_center] - move[prev, old]
+        delta += dist[prev, new_center] - dist[prev, old]
     if w < n_windows - 1:
         nxt = centers[d, w + 1]
-        delta += move[new_center, nxt] - move[old, nxt]
-    return float(delta)
+        delta += dist[new_center, nxt] - dist[old, nxt]
+    return int(delta)
 
 
 def refine_schedule(
@@ -88,9 +93,9 @@ def refine_schedule(
     centers = schedule.centers.copy()
     n_data, n_windows = centers.shape
     n_procs = model.n_procs
-    cost_tensor = model.all_placement_costs(tensor)
+    cost_tensor = model.reference_costs(tensor)
     vols = model.volume_column(n_data)
-    dist = model.distances.astype(np.float64)
+    dist = model.distances
 
     caps = (
         np.full(n_procs, n_data, dtype=np.int64)
@@ -103,7 +108,7 @@ def refine_schedule(
     if (occupancy > caps[None, :]).any():
         raise ValueError("input schedule violates the capacity plan")
 
-    initial = _total_cost(centers, cost_tensor, dist, vols)
+    initial = evaluate_schedule(schedule, tensor, model).total
     relocations = swaps = passes = 0
 
     for _pass in range(max_passes):
@@ -111,17 +116,16 @@ def refine_schedule(
         improved = False
         for w in range(n_windows):
             for d in range(n_data):
-                move = dist * vols[d]
                 old = centers[d, w]
                 # relocate: score all candidate centers at once
                 raw = cost_tensor[d, w, :] - cost_tensor[d, w, old]
                 if w > 0:
                     prev = centers[d, w - 1]
-                    raw = raw + (move[prev, :] - move[prev, old])
+                    raw += dist[prev, :] - dist[prev, old]
                 if w < n_windows - 1:
                     nxt = centers[d, w + 1]
-                    raw = raw + (move[:, nxt] - move[old, nxt])
-                raw[old] = 0.0
+                    raw += dist[:, nxt] - dist[old, nxt]
+                raw[old] = 0
                 blocked = occupancy[w] >= caps
                 open_deltas = np.where(blocked, np.inf, raw)
                 best_target = int(open_deltas.argmin())
@@ -144,7 +148,6 @@ def refine_schedule(
         if not improved:
             break
 
-    final = _total_cost(centers, cost_tensor, dist, vols)
     refined = Schedule(
         centers=centers,
         windows=schedule.windows,
@@ -154,7 +157,7 @@ def refine_schedule(
     return RefineResult(
         schedule=refined,
         initial_cost=initial,
-        final_cost=final,
+        final_cost=evaluate_schedule(refined, tensor, model).total,
         relocations=relocations,
         swaps=swaps,
         passes=passes,
@@ -183,13 +186,13 @@ def _try_swap(
         other = int(other)
         if other == d:
             continue
-        delta = _delta_for_center_change(
-            centers, d, w, target, cost_tensor, dist * vols[d]
+        delta = vols[d] * _delta_for_center_change(
+            centers, d, w, target, cost_tensor, dist
         )
         # apply d's move virtually before scoring the partner's move
         centers[d, w] = target
-        delta += _delta_for_center_change(
-            centers, other, w, mine, cost_tensor, dist * vols[other]
+        delta += vols[other] * _delta_for_center_change(
+            centers, other, w, mine, cost_tensor, dist
         )
         if delta < -tolerance:
             centers[other, w] = mine
@@ -197,18 +200,3 @@ def _try_swap(
         centers[d, w] = mine  # roll back
     return False
 
-
-def _total_cost(
-    centers: np.ndarray,
-    cost_tensor: np.ndarray,
-    dist: np.ndarray,
-    vols: np.ndarray,
-) -> float:
-    n_data, n_windows = centers.shape
-    d_idx = np.arange(n_data)[:, None]
-    w_idx = np.arange(n_windows)[None, :]
-    ref = cost_tensor[d_idx, w_idx, centers].sum()
-    if n_windows > 1:
-        hops = dist[centers[:, :-1], centers[:, 1:]].sum(axis=1)
-        ref += (hops * vols).sum()
-    return float(ref)

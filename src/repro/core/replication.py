@@ -108,9 +108,10 @@ def replicated_scds(
 
     Data are processed in descending reference-volume order; every
     replica claims a memory slot for the whole execution (static
-    placement, as in SCDS).
+    placement, as in SCDS).  Sites are chosen on reference counts alone:
+    a datum's volume scales every candidate's cost alike.
     """
-    dist = model.distances.astype(np.float64)
+    dist = model.distances
     merged = tensor.counts.sum(axis=1)  # (D, m) demand over all windows
     n_data = tensor.n_data
 
@@ -125,13 +126,12 @@ def replicated_scds(
     order = tensor.data_priority_order()
     for rank, d in enumerate(order):
         allowed = None if tracker is None else tracker.available_in_window(0)
-        vol = model.volume(int(d))
         k_eff = k
         if free_slots is not None:
             # every still-unplaced datum is owed one slot for its first copy
             remaining_after = len(order) - rank - 1
             k_eff = max(1, min(k, free_slots - remaining_after))
-        sites = greedy_k_median(merged[d] * vol, dist, k_eff, allowed)
+        sites = greedy_k_median(merged[d], dist, k_eff, allowed)
         if tracker is not None:
             for p in sites:
                 tracker.claim(p, 0)

@@ -26,7 +26,7 @@ from ..mem import CapacityError, CapacityPlan
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _certificate, _occupancy, _walk
+from .gomcds import _certificate, _occupancy, _solver, _walk
 from .schedule import Schedule
 
 __all__ = [
@@ -125,7 +125,7 @@ def reschedule_around_faults(
         record = obs.provenance.recording
         centers, potentials, masks = _walk(
             costs,
-            model.topology,
+            _solver(model.topology),
             tensor.data_priority_order(),
             obs=obs,
             span="reschedule.capacity_walk",
@@ -233,7 +233,7 @@ def reschedule_from_window(
         record = obs.provenance.recording
         suffix, potentials, masks = _walk(
             costs,
-            model.topology,
+            _solver(model.topology),
             tensor.data_priority_order(),
             obs=obs,
             span="reschedule.capacity_walk",

@@ -73,11 +73,14 @@ def check_costgraph_agreement(context):
         rng = np.random.default_rng(0)
         data_ids = np.sort(rng.choice(n_data, size=min(_SAMPLE, n_data), replace=False))
 
-    costs = model.all_placement_costs(tensor)
+    costs = model.reference_costs(tensor)
+    vols = model.volume_column(n_data)
     for d in data_ids:
         d = int(d)
-        graph_cost = _graph_path_cost(
-            costs[d], model.movement_cost_matrix(d), schedule.centers[d]
+        # the cost-graph is volume-free: its path sums hops, which the
+        # datum's volume then weighs once, as in the evaluator
+        graph_cost = vols[d] * _graph_path_cost(
+            costs[d], model.distances, schedule.centers[d]
         )
         if abs(graph_cost - analytic[d]) > _TOL * max(1.0, abs(graph_cost)):
             yield Diagnostic(

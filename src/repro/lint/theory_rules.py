@@ -25,7 +25,6 @@ from .registry import rule
 
 __all__ = []
 
-_TOL = 1e-9
 #: cap on separable-convexity spot checks per run (rows are independent).
 _THY002_SAMPLE = 64
 
@@ -49,8 +48,8 @@ def check_one_step_optimality(context):
         return  # SCH001 owns out-of-range centers
 
     n_data, n_windows = schedule.n_data, schedule.n_windows
-    costs = model.all_placement_costs(tensor)  # (D, W, m)
-    dist = model.distances.astype(np.float64)
+    costs = model.reference_costs(tensor)  # (D, W, m) int64
+    dist = model.distances
     vols = model.volume_column(n_data)
 
     headroom = None
@@ -61,26 +60,28 @@ def check_one_step_optimality(context):
     d_idx = np.arange(n_data)
     for w in range(n_windows):
         current = centers[:, w]
-        # delta[d, p]: total-cost change of re-centering datum d to p in w
+        # delta[d, p]: hop change of re-centering datum d to p in w (its
+        # volume scales every term alike, so it never changes the verdict)
         delta = costs[:, w, :] - costs[d_idx, w, current][:, None]
         if w > 0:
             prev = centers[:, w - 1]
-            delta += vols[:, None] * (dist[prev] - dist[prev, current][:, None])
+            delta += dist[prev] - dist[prev, current][:, None]
         if w < n_windows - 1:
             nxt = centers[:, w + 1]
-            delta += vols[:, None] * (dist[:, nxt].T - dist[current, nxt][:, None])
+            delta += dist[:, nxt].T - dist[current, nxt][:, None]
         if headroom is not None:
             # an "improvement" into a full memory is not realizable
             delta = np.where(headroom[w][None, :] > 0, delta, np.inf)
-            delta[d_idx, current] = 0.0
+            delta[d_idx, current] = 0
         best = delta.min(axis=1)
-        for d in np.nonzero(best < -_TOL)[0]:
+        for d in np.nonzero(best < 0)[0]:
             p = int(delta[d].argmin())
+            saving = -best[d] * vols[d]
             yield Diagnostic(
                 code=THY001,
                 severity=Severity.WARNING,
                 message=(
-                    f"re-centering to processor {p} saves {-best[d]:g} cost; "
+                    f"re-centering to processor {p} saves {saving:g} cost; "
                     "the §4 monotonicity argument shows an optimal path "
                     "never strands a center like this"
                 ),
@@ -107,7 +108,7 @@ def check_separable_convexity(context):
     tensor = context.tensor
     if tensor is None:
         return
-    costs = context.model.all_placement_costs(tensor)  # (D, W, m)
+    costs = context.model.reference_costs(tensor)  # (D, W, m) int64
     n_data, n_windows = costs.shape[0], costs.shape[1]
     rows = [(d, w) for d in range(n_data) for w in range(n_windows)]
     if len(rows) > _THY002_SAMPLE:

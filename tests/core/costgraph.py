@@ -94,6 +94,6 @@ def gomcds_via_graph(
 
     Volume-free, like the schedulers: edge weights are hop counts.
     """
-    window_costs = model.placement_costs(tensor.for_data(d))
+    window_costs = tensor.for_data(d) @ model.distances
     graph = build_cost_graph(window_costs, model.distances)
     return solve_cost_graph(graph, tensor.n_windows)

@@ -97,7 +97,7 @@ class TestGomcds:
         model = CostModel(mesh44)
         fast = schedule(tensor, model, algorithm="gomcds")
         dist = model.distances.astype(float)
-        costs = model.all_placement_costs(tensor)
+        costs = model.reference_costs(tensor)
         for d in range(tensor.n_data):
             path, cost = shortest_center_path(costs[d], dist)
             got = evaluate_schedule(

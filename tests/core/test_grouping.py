@@ -24,7 +24,7 @@ def line_costs(counts):
     trace, windows = trace_from_counts(np.asarray(counts, dtype=np.int64), topo)
     tensor = build_reference_tensor(trace, windows)
     model = CostModel(topo)
-    return model.all_placement_costs(tensor)[0], model.distances.astype(float)
+    return model.reference_costs(tensor)[0], model.distances.astype(float)
 
 
 class TestPartitionCost:

@@ -75,7 +75,7 @@ def test_exact_on_crafted_swap_instance():
     ).total
     assert opt <= greedy
     # brute force over both assignments confirms exactness
-    totals = model.all_placement_costs(tensor).sum(axis=1)
+    totals = model.reference_costs(tensor).sum(axis=1)
     brute = min(
         totals[0, 0] + totals[1, 1],
         totals[0, 1] + totals[1, 0],
@@ -94,7 +94,7 @@ def test_brute_force_agreement_random():
     for _ in range(25):
         counts = rng.integers(0, 5, size=(3, 2, 3))
         tensor = make_tensor(counts, topo)
-        totals = model.all_placement_costs(tensor).sum(axis=1)
+        totals = model.reference_costs(tensor).sum(axis=1)
         brute = min(
             sum(totals[d, p] for d, p in enumerate(perm))
             for perm in permutations(range(3))

@@ -64,7 +64,7 @@ def test_scds_optimal_among_static(case):
     """SCDS minimizes cost over *static* placements (per datum)."""
     tensor, _trace, model = case
     sched = repro.schedule(tensor, model, algorithm="scds")
-    totals = model.all_placement_costs(tensor).sum(axis=1)  # (D, m)
+    totals = model.reference_costs(tensor).sum(axis=1)  # (D, m)
     for d in range(tensor.n_data):
         assert totals[d, sched.centers[d, 0]] == totals[d].min()
 
@@ -137,11 +137,11 @@ def test_grouping_never_worse_than_local_singletons(case):
     tensor, _trace, model = case
     from repro.core.grouping import partition_cost
 
-    costs = model.all_placement_costs(tensor)
+    costs = model.reference_costs(tensor)
     grouped = grouped_schedule(tensor, model)
     for d in range(tensor.n_data):
         singles = [(w, w) for w in range(tensor.n_windows)]
-        move = model.movement_cost_matrix(d)
+        move = model.distances
         _c, baseline = partition_cost(costs[d], move, singles, "local")
         partition = grouped.meta["partitions"][d]
         _c, achieved = partition_cost(costs[d], move, partition, "local")

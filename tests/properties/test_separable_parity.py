@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro import schedule
 from repro.core import CostModel, reschedule_around_faults
-from repro.core.gomcds import _walk, shortest_center_path
+from repro.core.gomcds import _solver, _walk, shortest_center_path
 from repro.core.kernels import (
     placement_cost_tensor_python,
     shortest_center_path_python,
@@ -112,11 +112,10 @@ def test_reschedule_around_faults_matches_python_walk(topo, constrained, data):
     )
     centers, potentials, _ = _walk(
         placement_cost_tensor_python(tensor, model),
-        topo,
+        _solver(topo, "python"),
         tensor.data_priority_order(),
         obs=resolve(None),
         span="reschedule.capacity_walk",
-        kernel="python",
         alive=alive_window_mask(plan, tensor.n_windows, topo.n_procs),
         tracker=tracker,
         certify=True,

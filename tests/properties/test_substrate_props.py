@@ -94,8 +94,8 @@ def test_lemma1_property(counts0, counts1):
     """Paper's Lemma 1 holds on every generated 1-D two-window instance."""
     topo = Mesh1D(7)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = np.array(counts0) @ model.distances
+    costs1 = np.array(counts1) @ model.distances
     p1, p2 = closest_center_pair(costs0, costs1, topo)
     assert lemma1_holds(costs0, p1, p2)
 
@@ -111,8 +111,8 @@ def test_theorem2_property(counts0, counts1):
     """Paper's Theorem 2 holds on every generated 2-D two-window instance."""
     topo = Mesh2D(3, 4)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = np.array(counts0) @ model.distances
+    costs1 = np.array(counts1) @ model.distances
     assert theorem2_instance(costs0, costs1, topo)
 
 
@@ -124,6 +124,6 @@ def test_theorem3_property(counts0, counts1):
 
     topo = Mesh2D(3, 4)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = np.array(counts0) @ model.distances
+    costs1 = np.array(counts1) @ model.distances
     assert theorem3_holds(costs0, costs1, topo)

@@ -8,8 +8,11 @@ On the paper's benchmarks with random fractional volumes:
 1. SCDS, LOMCDS, GOMCDS, OMCDS and both fault reschedulers return the
    unit-volume centers (capacity on and off, both kernels), so ties
    break toward the lowest index under any volumes;
-2. their optimality certificates check clean;
-3. provenance attribution equals ``evaluate_schedule`` exactly.
+2. so do the per-datum extension passes: budgeted GOMCDS, Algorithm 3
+   grouping, replication and the unconstrained optimal static placement
+   (which equals SCDS), and THY001 flags the same cells;
+3. their optimality certificates check clean;
+4. provenance attribution equals ``evaluate_schedule`` exactly.
 """
 
 from functools import lru_cache
@@ -26,11 +29,15 @@ from repro import (
     NodeFault,
     benchmark,
     evaluate_schedule,
+    grouped_schedule,
     reschedule_around_faults,
     reschedule_from_window,
     schedule,
 )
-from repro.diagnostics import Severity
+from repro.core import gomcds_budgeted, replicated_scds
+from repro.core.optimal import optimal_static_placement
+from repro.diagnostics import THY001, Severity
+from repro.lint import LintContext, run_lint
 from repro.obs import Instrumentation
 from repro.verify import check_certificate
 
@@ -39,14 +46,19 @@ PLAN = FaultPlan(node_faults=(NodeFault(pid=5, start=1), NodeFault(pid=10, start
 
 
 @lru_cache(maxsize=None)
+def _workload(bench):
+    return benchmark(bench, 8, MESH)
+
+
+@lru_cache(maxsize=None)
 def _tensor(bench):
-    return benchmark(bench, 8, MESH).reference_tensor()
+    return _workload(bench).reference_tensor()
 
 
 @st.composite
-def cases(draw):
+def cases(draw, benches=st.integers(1, 5)):
     """A paper benchmark with random fractional volumes (and its twin)."""
-    tensor = _tensor(draw(st.integers(1, 5)))
+    tensor = _tensor(draw(benches))
     seed = draw(st.integers(0, 2**32 - 1))
     volumes = np.random.default_rng(seed).uniform(0.1, 3.0, tensor.n_data)
     capacity = (
@@ -98,6 +110,73 @@ def test_reschedulers_return_unit_volume_centers(case):
         base, tensor, weighted, PLAN, from_window, capacity=capacity
     )
     assert np.array_equal(got.centers, unit.centers)
+
+
+@given(cases(), st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_budgeted_returns_unit_volume_centers(case, budget):
+    tensor, weighted, capacity = case
+    unit = gomcds_budgeted(tensor, CostModel(MESH), budget, capacity)
+    got = gomcds_budgeted(tensor, weighted, budget, capacity)
+    assert np.array_equal(got.centers, unit.centers)
+
+
+@given(
+    cases(),
+    st.sampled_from(["greedy", "optimal"]),
+    st.sampled_from(["local", "global"]),
+)
+@settings(max_examples=20, deadline=None)
+def test_grouping_returns_unit_volume_centers(case, strategy, assign):
+    tensor, weighted, capacity = case
+    options = {"strategy": strategy, "assign_method": assign}
+    unit = grouped_schedule(tensor, CostModel(MESH), capacity, **options)
+    got = grouped_schedule(tensor, weighted, capacity, **options)
+    assert np.array_equal(got.centers, unit.centers)
+    assert got.meta["partitions"] == unit.meta["partitions"]
+
+
+@given(cases(), st.integers(1, 4))
+@settings(max_examples=20, deadline=None)
+def test_replication_returns_unit_volume_replicas(case, k):
+    tensor, weighted, capacity = case
+    unit = replicated_scds(tensor, CostModel(MESH), k, capacity)
+    assert replicated_scds(tensor, weighted, k, capacity) == unit
+
+
+@given(cases())
+@settings(max_examples=20, deadline=None)
+def test_unconstrained_optimal_static_equals_scds(case):
+    tensor, weighted, _capacity = case
+    got = optimal_static_placement(tensor, weighted)
+    scds = schedule(tensor, weighted, algorithm="scds")
+    assert np.array_equal(got.centers, scds.centers)
+
+
+@st.composite
+def lint_cases(draw):
+    """A paper workload, its random-volume model and optional capacity."""
+    bench = draw(st.integers(1, 5))
+    tensor, weighted, capacity = draw(cases(st.just(bench)))
+    return _workload(bench).trace, tensor, weighted, capacity
+
+
+@given(lint_cases(), st.sampled_from(["scds", "lomcds"]))
+@settings(max_examples=20, deadline=None)
+def test_thy001_flags_unit_volume_cells(case, algorithm):
+    trace, tensor, weighted, capacity = case
+    solved = schedule(
+        tensor, CostModel(MESH), algorithm=algorithm, capacity=capacity
+    )
+
+    def flagged(model):
+        context = LintContext(
+            schedule=solved, trace=trace, capacity=capacity, model=model
+        )
+        report = run_lint(context, select=[THY001])
+        return {(d.datum, d.window, d.processor) for d in report.diagnostics}
+
+    assert flagged(weighted) == flagged(CostModel(MESH))
 
 
 @given(cases(), st.sampled_from(["numpy", "python"]))

@@ -56,7 +56,7 @@ class TestFFT:
         tensor = wl.reference_tensor()
         model = CostModel(mesh44)
         schedule = baseline_schedule(wl, "row_wise")
-        cost_tensor = model.all_placement_costs(tensor)
+        cost_tensor = model.reference_costs(tensor)
         d_idx = np.arange(tensor.n_data)[:, None]
         w_idx = np.arange(tensor.n_windows)[None, :]
         per_window = cost_tensor[d_idx, w_idx, schedule.centers].sum(axis=0)
